@@ -43,9 +43,6 @@ let load name =
   match Scenario.of_file path with
   | Ok s -> s
   | Error e -> fail (Scenario.error_to_string e)
-  | exception Sys_error msg ->
-    invalid_arg
-      (Printf.sprintf "bench_adversarial: %s (set LP_SCENARIO_DIR to the scenarios/ dir)" msg)
 
 (* The undefended twin: quantum pinned at the adaptive init, guard off.
    Everything else — workload mix, arrival process, seed — untouched. *)

@@ -119,8 +119,6 @@ let crash_demo ~seed ~rate ~duration_ns ~warmup_ns =
 let run () =
   let seed = 7L in
   let duration_ns = ms 60 and warmup_ns = ms 10 in
-  let rate =
-    0.6 *. Bench_util.capacity_rps dist ~workers ~duration_ns
-  in
+  let rate = 0.6 *. Bench_util.capacity ~dist:Scenario.A1 ~workers ~duration_ns in
   sweep ~seed ~rate ~duration_ns ~warmup_ns;
   crash_demo ~seed ~rate ~duration_ns ~warmup_ns

@@ -11,19 +11,20 @@
 let us = Bench_util.us
 let ms = Bench_util.ms
 
-let dist = Workload.Service_dist.exponential ~mean_ns:(us 20)
+let dist = Scenario.Exp (us 20)
 let workers = 8
 
 let run_one ~policy ~mechanism ~rate =
   let cfg = Preemptible.Server.default_config ~n_workers:workers ~policy ~mechanism in
   Preemptible.Server.run ~warmup_ns:(ms 20) cfg
     ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-    ~source:(Bench_util.lc_source dist) ~duration_ns:(ms 400)
+    ~source:(Bench_util.lc_source (Scenario.service_dist Scenario.default dist))
+    ~duration_ns:(ms 400)
 
 let run ~jobs () =
   Bench_util.header
     "Fig 10: deployment overhead vs no preemption (exponential service, p99 ratio)";
-  let cap = Bench_util.capacity_rps dist ~workers ~duration_ns:0 in
+  let cap = Bench_util.capacity ~dist ~workers ~duration_ns:0 in
   let loads = [ 0.3; 0.5; 0.7; 0.8; 0.89 ] in
   let quanta = [ us 100; us 50; us 25 ] in
   (* One sweep point per cell: the baseline column (quantum = 0) plus

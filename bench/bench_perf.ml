@@ -52,7 +52,7 @@ let server_macro () =
   let dist = Workload.Service_dist.workload_a2 in
   let duration_ns = Engine.Units.ms 100 in
   let warmup_ns = Engine.Units.ms 20 in
-  let rate = 0.8 *. Bench_util.capacity_rps dist ~workers:4 ~duration_ns in
+  let rate = 0.8 *. Bench_util.capacity ~dist:Scenario.A2 ~workers:4 ~duration_ns in
   let cfg =
     Preemptible.Server.default_config ~n_workers:4
       ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(Engine.Units.us 5))

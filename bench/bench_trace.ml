@@ -19,7 +19,7 @@ let run ?out () =
   Bench_util.header "Traced run: workload A1 on LibPreemptible (Perfetto export)";
   let duration_ns = ms 200 in
   let dist = Workload.Service_dist.workload_a1 in
-  let rate = 0.7 *. Bench_util.capacity_rps dist ~workers:4 ~duration_ns in
+  let rate = 0.7 *. Bench_util.capacity ~dist:Scenario.A1 ~workers:4 ~duration_ns in
   let cfg =
     Preemptible.Server.default_config ~n_workers:4
       ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us 5))

@@ -12,19 +12,11 @@ let lc_source dist =
 let named_workloads =
   [ ("A1", Scenario.A1); ("A2", Scenario.A2); ("B", Scenario.B); ("C", Scenario.C) ]
 
-(* Peak sustainable rate of [workers] cores for a distribution (ignores
-   overheads; used to place load sweeps). For workload C use the
-   heavier first phase. *)
-let capacity_rps dist ~workers ~duration_ns =
-  (* A phased distribution (workload C) is as slow as its slowest
-     phase; size the sweep by the larger mean. *)
-  let mean_start = Workload.Service_dist.mean_ns dist ~now:0 in
-  let mean_end = Workload.Service_dist.mean_ns dist ~now:(max 0 (duration_ns - 1)) in
-  let mean = Float.max mean_start mean_end in
-  float_of_int workers *. 1e9 /. mean
-
-(* Symbolic capacity: the same number {!Scenario.capacity_rps} resolves
-   [x]-relative rates against. *)
+(* Peak sustainable rate of [workers] cores for a scenario
+   distribution (ignores overheads; used to place load sweeps): the
+   same number {!Scenario.capacity_rps} resolves [x]-relative rates
+   against.  A phased distribution (workload C) is sized by its slower
+   phase. *)
 let capacity ~dist ~workers ~duration_ns =
   Scenario.capacity_rps
     { Scenario.default with Scenario.src = Scenario.Dist (dist, Scenario.Lc); workers; duration_ns }

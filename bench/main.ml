@@ -96,9 +96,6 @@ let run_scenario_file file =
     | Error e ->
       Format.printf "%s: %s@." file (Scenario.error_to_string e);
       exit 1
-    | exception Sys_error msg ->
-      Format.printf "%s@." msg;
-      exit 1
   in
   (match Scenario.validate spec with
   | Ok () -> ()

@@ -1,62 +1,28 @@
-(* lpctl: run LibPreemptible server simulations with custom parameters
-   from the command line.
+(* lpctl: run LibPreemptible simulations from the command line.
 
-     lpctl serve --system lp --workload a1 --rate 800000 --quantum 5
      lpctl run scenarios/tail_attack.scn -s seed=7
+     lpctl run "arrival=poisson:500000; dur=20ms" --trace trace.json
      lpctl ipc --n 100000
-     lpctl timer --strategy utimer --threads 32 *)
+     lpctl timer --strategy utimer --threads 32
+
+   Every server or fleet simulation is described by a scenario spec
+   (SCENARIOS.md); [run]'s output modes only change what is observed. *)
 
 open Cmdliner
 
 let us = Engine.Units.us
 let ms = Engine.Units.ms
 
-(* Environment knobs are parsed with Exec.Env.getenv_nonempty so an
-   empty value behaves like an unset one; declared here so every
-   subcommand's --help lists the variables it honours. *)
-let env_pool_trace =
-  Cmd.Env.info "LP_POOL_TRACE"
-    ~doc:
-      "When set to a file path, multi-point sweeps export a Perfetto JSON trace of \
-       pool occupancy (per-worker task spans, wall clock) there at exit."
-
-let env_trace_out =
-  Cmd.Env.info "LP_TRACE_OUT"
-    ~doc:"Default output path for the Perfetto trace when $(b,--out) is not given."
-
-let env_bench_csv =
-  Cmd.Env.info "LP_BENCH_CSV"
-    ~doc:"When set to a directory, also dump the result series there as CSV."
-
-(* Shared wall-clock pool trace, mirroring the bench harness: every
-   sweep in the process writes into one ring, exported at exit. *)
-let pool_trace =
-  lazy
-    (match Exec.Env.getenv_nonempty "LP_POOL_TRACE" with
-    | None -> None
-    | Some path ->
-      let t0 = Unix.gettimeofday () in
-      let trace =
-        Obs.Trace.create
-          ~config:{ Obs.Trace.capacity = 1 lsl 16; categories = [ Obs.Trace.Exec ] }
-          ~clock:(fun () -> int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-          ()
-      in
-      at_exit (fun () ->
-          Obs.Export.perfetto_to_file trace ~path;
-          Format.printf "(pool trace: %s)@." path);
-      Some trace)
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline m;
+      exit 1)
+    fmt
 
 (* ------------------------------------------------------------------ *)
-(* serve                                                               *)
+(* Result printers                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let workload_of_string duration_ns = function
-  | "a1" -> Ok Workload.Service_dist.workload_a1
-  | "a2" -> Ok Workload.Service_dist.workload_a2
-  | "b" -> Ok Workload.Service_dist.workload_b
-  | "c" -> Ok (Workload.Service_dist.workload_c ~duration_ns)
-  | s -> Error (`Msg (Printf.sprintf "unknown workload %S (a1|a2|b|c)" s))
 
 let pp_result r =
   Format.printf "%a@." Preemptible.Server.pp_result r;
@@ -66,140 +32,12 @@ let pp_result r =
   (match r.Preemptible.Server.be with
   | Some be -> Format.printf "BE: %a@." Stat.Summary.pp_report_us be
   | None -> ());
-  match r.Preemptible.Server.guard with
+  (match r.Preemptible.Server.guard with
   | Some g -> Format.printf "guard: %a@." Guard.pp_report g
+  | None -> ());
+  match r.Preemptible.Server.resilience with
+  | Some res -> Format.printf "resilience: %a@." Preemptible.Server.pp_resilience res
   | None -> ()
-
-(* Build the overload-control config from the serve flags.  All four
-   knobs are off by default, which leaves [guard = None] — the exact
-   no-op path.  [--retry-budget 0] means budgetless (naive) retries. *)
-let guard_of_flags ~timeout_us ~shed_depth ~retry_budget ~brownout =
-  if timeout_us = 0 && shed_depth = 0 && retry_budget = None && not brownout then None
-  else begin
-    let timeout_ns = if timeout_us > 0 then Some (us timeout_us) else None in
-    let shed =
-      if shed_depth > 0 then Some { Guard.default_shed with Guard.max_queue = shed_depth }
-      else None
-    in
-    let retry =
-      match retry_budget with
-      | None -> None
-      | Some r when r < 0.0 ->
-        prerr_endline "--retry-budget expects a non-negative rate (tokens/s; 0 = unbudgeted)";
-        exit 1
-      | Some r when r > 0.0 ->
-        Some
-          {
-            Guard.default_retry with
-            Guard.budget = Some { Guard.rate_per_sec = r; burst = Float.max 1.0 (r /. 10.0) };
-          }
-      | Some _ -> Some Guard.default_retry
-    in
-    let cfg =
-      {
-        Guard.disabled with
-        Guard.timeout_ns;
-        drop_expired = timeout_us > 0;
-        shed;
-        retry;
-        brownout = (if brownout then Some Guard.default_brownout else None);
-      }
-    in
-    (* Surface a bad combination (e.g. retries without a timeout) as a
-       usage error here, before the sweep fans out. *)
-    (try Guard.validate cfg
-     with Invalid_argument m ->
-       prerr_endline m;
-       exit 1);
-    Some cfg
-  end
-
-(* One complete simulation at one offered rate; pure in [rate] so a
-   multi-rate sweep can fan out across pool domains. *)
-let serve_one ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard rate =
-  let arrival = Workload.Arrival.poisson ~rate_per_sec:rate in
-  let source = Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical in
-  match system with
-  | "lp" ->
-    let policy =
-      if adaptive then
-        Preemptible.Policy.adaptive
-          (Preemptible.Quantum_controller.create
-             ~max_load_per_s:
-               (float_of_int workers *. 1e9
-               /. Workload.Service_dist.mean_ns dist ~now:0)
-             ~initial_quantum_ns:quantum ())
-      else Preemptible.Policy.fcfs_preempt ~quantum_ns:quantum
-    in
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers ~policy
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    Preemptible.Server.run { cfg with Preemptible.Server.seed; guard } ~arrival ~source
-      ~duration_ns
-  | "lp-nouintr" ->
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers
-        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:quantum)
-        ~mechanism:(Preemptible.Server.Signal_utimer { poll_ns = 500 })
-    in
-    Preemptible.Server.run { cfg with Preemptible.Server.seed; guard } ~arrival ~source
-      ~duration_ns
-  | "shinjuku" ->
-    let cfg = Baselines.Shinjuku.default_config ~n_workers:workers ~quantum_ns:quantum in
-    Baselines.Shinjuku.run { cfg with Baselines.Shinjuku.seed } ~arrival ~source
-      ~duration_ns
-  | "libinger" ->
-    let cfg = Baselines.Libinger.default_config ~n_workers:workers ~quantum_ns:quantum in
-    Baselines.Libinger.run { cfg with Baselines.Libinger.seed } ~arrival ~source
-      ~duration_ns
-  | "nopreempt" ->
-    let cfg = Baselines.Nopreempt.default_config ~n_workers:workers in
-    Baselines.Nopreempt.run { cfg with Baselines.Nopreempt.seed } ~arrival ~source
-      ~duration_ns
-  | "go" ->
-    let cfg = Baselines.Goruntime.default_config ~n_workers:workers in
-    Baselines.Goruntime.run { cfg with Baselines.Goruntime.seed } ~arrival ~source
-      ~duration_ns
-  | s ->
-    prerr_endline
-      (Printf.sprintf "unknown system %S (lp|lp-nouintr|shinjuku|libinger|nopreempt|go)" s);
-    exit 1
-
-(* One fleet simulation at one offered rate (serve --servers N).  The
-   member config mirrors the single-server lp/lp-nouintr paths. *)
-let serve_fleet ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard
-    ~servers ~lb ~steal rate =
-  let arrival = Workload.Arrival.poisson ~rate_per_sec:rate in
-  let source = Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical in
-  let policy =
-    if adaptive then
-      Preemptible.Policy.adaptive
-        (Preemptible.Quantum_controller.create
-           ~max_load_per_s:
-             (float_of_int workers *. 1e9 /. Workload.Service_dist.mean_ns dist ~now:0)
-           ~initial_quantum_ns:quantum ())
-    else Preemptible.Policy.fcfs_preempt ~quantum_ns:quantum
-  in
-  let mechanism =
-    match system with
-    | "lp" -> Preemptible.Server.Uintr_utimer Utimer.default_config
-    | _ -> Preemptible.Server.Signal_utimer { poll_ns = 500 }
-  in
-  let member =
-    {
-      (Preemptible.Server.default_config ~n_workers:workers ~policy ~mechanism) with
-      Preemptible.Server.guard;
-    }
-  in
-  let cfg =
-    {
-      (Cluster.uniform ~n:servers ~lb member) with
-      Cluster.seed;
-      steal = (if steal then Some Cluster.default_steal else None);
-    }
-  in
-  Cluster.run cfg ~arrival ~source ~duration_ns
 
 let pp_fleet_result (r : Cluster.result) =
   Format.printf "%a@." Cluster.pp_fleet r.Cluster.fleet;
@@ -213,215 +51,27 @@ let pp_fleet_result (r : Cluster.result) =
         s.Preemptible.Server.worker_busy_frac s.Preemptible.Server.preemptions)
     r.Cluster.per_server
 
-let parse_rates s =
-  let parts = String.split_on_char ',' s |> List.map String.trim in
-  let rates = List.filter_map float_of_string_opt parts in
-  if List.length rates <> List.length parts || rates = [] || List.exists (fun r -> r <= 0.0) rates
-  then begin
-    prerr_endline
-      (Printf.sprintf "--rate expects positive requests/s, comma-separated for a sweep; got %S" s);
-    exit 1
-  end;
-  rates
-
-let serve system workload rate_s jobs quantum_us workers duration_ms adaptive seed
-    timeout_us shed_depth retry_budget brownout metrics_out servers lb_s steal =
-  let duration_ns = ms duration_ms in
-  let rates = parse_rates rate_s in
-  (* Cluster flags validate before any simulation runs. *)
-  if servers < 1 then begin
-    prerr_endline "--servers expects a positive fleet size";
-    exit 1
-  end;
-  let lb =
-    match Cluster.lb_of_string lb_s with
-    | Ok lb -> lb
-    | Error m ->
-      prerr_endline ("--lb: " ^ m);
-      exit 1
-  in
-  if servers = 1 && steal then begin
-    prerr_endline "--steal needs a fleet (--servers > 1)";
-    exit 1
-  end;
-  if servers > 1 && not (List.mem system [ "lp"; "lp-nouintr" ]) then begin
-    prerr_endline
-      (Printf.sprintf "--servers applies to lp|lp-nouintr fleets, not %S" system);
-    exit 1
-  end;
-  if steal && retry_budget <> None then begin
-    prerr_endline
-      "--steal cannot be combined with --retry-budget (a stolen request's patience clock \
-       cannot follow it across servers)";
-    exit 1
-  end;
-  match workload_of_string duration_ns workload with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    exit 1
-  | Ok dist ->
-    let quantum = us quantum_us in
-    (* Reject an unknown system before the sweep fans out, so the error
-       surfaces once and on the main domain. *)
-    if
-      not
-        (List.mem system [ "lp"; "lp-nouintr"; "shinjuku"; "libinger"; "nopreempt"; "go" ])
-    then begin
-      prerr_endline
-        (Printf.sprintf "unknown system %S (lp|lp-nouintr|shinjuku|libinger|nopreempt|go)"
-           system);
-      exit 1
-    end;
-    (* Guard flags validate here too — bad knobs die once, before any
-       simulation runs. *)
-    let guard = guard_of_flags ~timeout_us ~shed_depth ~retry_budget ~brownout in
-    if guard <> None && not (List.mem system [ "lp"; "lp-nouintr" ]) then begin
-      prerr_endline
-        (Printf.sprintf "guard flags (--timeout/--shed/--retry-budget/--brownout) only \
-                         apply to lp|lp-nouintr, not %S" system);
-      exit 1
-    end;
-    if servers > 1 then begin
-      if metrics_out <> None then begin
-        prerr_endline "--metrics-out applies to single-server runs";
-        exit 1
-      end;
-      let run_one =
-        serve_fleet ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard
-          ~servers ~lb ~steal
-      in
-      (match rates with
-      | [ rate ] -> pp_fleet_result (run_one rate)
-      | rates ->
-        let results =
-          Exec.Sweep.run ?trace:(Lazy.force pool_trace) ~label:"serve" ~jobs run_one rates
-        in
-        List.iter2
-          (fun rate r ->
-            Format.printf "@.-- rate %.0f/s (fleet) --@." rate;
-            pp_fleet_result r)
-          rates results);
-      exit 0
-    end;
-    let run_one =
-      serve_one ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard
-    in
-    (* Prometheus text exposition of the run's metrics snapshot; for a
-       multi-rate sweep the last rate's snapshot wins (one scrape file,
-       valid exposition needs unique metric names). *)
-    let export_metrics (r : Preemptible.Server.result) =
-      match metrics_out with
-      | None -> ()
-      | Some path ->
-        Obs.Export.prometheus_to_file r.Preemptible.Server.metrics ~path;
-        Format.printf "(metrics: %s)@." path
-    in
-    (match rates with
-    | [ rate ] ->
-      let r = run_one rate in
-      pp_result r;
-      export_metrics r
-    | rates ->
-      let results =
-        Exec.Sweep.run ?trace:(Lazy.force pool_trace) ~label:"serve" ~jobs run_one rates
-      in
-      List.iter2
-        (fun rate r ->
-          Format.printf "@.-- rate %.0f/s --@." rate;
-          pp_result r)
-        rates results;
-      (match List.rev results with r :: _ -> export_metrics r | [] -> ()))
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Exec.Sweep.default_jobs ())
-    & info [ "jobs" ] ~doc:"worker domains for multi-point sweeps (1 = sequential)")
-
-let serve_cmd =
-  let system =
-    Arg.(value & opt string "lp" & info [ "system" ] ~doc:"lp|lp-nouintr|shinjuku|libinger|nopreempt|go")
-  in
-  let workload = Arg.(value & opt string "a1" & info [ "workload" ] ~doc:"a1|a2|b|c") in
-  let rate =
-    Arg.(
-      value & opt string "500000"
-      & info [ "rate" ] ~doc:"offered load, requests/s; comma-separated list sweeps in parallel")
-  in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us") in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads") in
-  let duration = Arg.(value & opt int 100 & info [ "duration" ] ~doc:"run length, ms") in
-  let adaptive = Arg.(value & flag & info [ "adaptive" ] ~doc:"use the Algorithm-1 controller") in
-  let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"simulation seed") in
-  let timeout =
-    Arg.(
-      value & opt int 0
-      & info [ "timeout" ]
-          ~doc:"client patience, us (0 = none); also arms server-side expiry of abandoned work")
-  in
-  let shed =
-    Arg.(
-      value & opt int 0
-      & info [ "shed" ]
-          ~doc:"bound total queue occupancy and shed on standing delay (0 = no shedding)")
-  in
-  let retry_budget =
-    Arg.(
-      value & opt (some float) None
-      & info [ "retry-budget" ]
-          ~doc:
-            "enable client retries (4 attempts, exponential backoff) with a token budget \
-             of this many retries/s; 0 = unbudgeted naive retries; requires --timeout")
-  in
-  let brownout =
-    Arg.(
-      value & flag
-      & info [ "brownout" ] ~doc:"enable the hysteretic brownout/circuit-breaker controller")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ]
-          ~doc:
-            "write the run's metrics snapshot in Prometheus text exposition format to \
-             this file (multi-rate sweeps export the last rate)")
-  in
-  let servers =
-    Arg.(
-      value & opt int 1
-      & info [ "servers" ]
-          ~doc:"fleet size; above 1 simulates N servers behind a load balancer (lp|lp-nouintr)")
-  in
-  let lb =
-    Arg.(
-      value & opt string "p2c"
-      & info [ "lb" ] ~doc:"fleet dispatch policy: random|rr|jsq|p2c (with --servers)")
-  in
-  let steal =
-    Arg.(
-      value & flag
-      & info [ "steal" ]
-          ~doc:"enable cross-server work stealing (with --servers; incompatible with \
-                --retry-budget)")
-  in
-  Cmd.v
-    (Cmd.info "serve" ~doc:"simulate a request-serving system under load"
-       ~envs:[ env_pool_trace ])
-    Term.(
-      const serve $ system $ workload $ rate $ jobs_arg $ quantum $ workers $ duration
-      $ adaptive $ seed $ timeout $ shed $ retry_budget $ brownout $ metrics_out $ servers
-      $ lb $ steal)
-
 (* ------------------------------------------------------------------ *)
-(* top                                                                 *)
+(* The --top dashboard                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Periodically refreshed dashboard over the telemetry tick.  The
-   simulation runs at full speed; rendering is throttled on wall clock
-   (--refresh-ms) so a fast run does not flood the terminal.  --once
-   suppresses live repaints and prints the final frame exactly once —
-   the CI smoke mode. *)
+(* Telemetry is passive, so these constants never change results: a
+   1 ms tick, one SLO (p99 <= 250 us) and a 50 ms repaint throttle. *)
+let top_telemetry =
+  {
+    Preemptible.Telemetry.default with
+    Preemptible.Telemetry.slos =
+      [
+        {
+          Obs.Slo.default_spec with
+          Obs.Slo.fast_windows = 2;
+          slow_windows = 6;
+          burn_threshold = 3.0;
+        };
+      ];
+  }
+
+let top_refresh_s = 0.05
 
 let occupancy_bar frac width =
   let frac = if Float.is_nan frac then 0.0 else Float.min 1.0 (Float.max 0.0 frac) in
@@ -468,532 +118,92 @@ let render_frame ~clear (f : Preemptible.Telemetry.frame) =
     f.Preemptible.Telemetry.f_slos;
   Format.print_flush ()
 
-let top workload rate workers quantum_us adaptive duration_ms tick_us slo_us refresh_ms
-    once seed timeout_us shed_depth brownout =
-  let duration_ns = ms duration_ms in
-  if rate <= 0.0 then begin
-    prerr_endline "--rate must be positive";
-    exit 1
-  end;
-  if tick_us <= 0 then begin
-    prerr_endline "--tick must be positive (us)";
-    exit 1
-  end;
-  if slo_us <= 0 then begin
-    prerr_endline "--slo must be positive (us)";
-    exit 1
-  end;
-  if refresh_ms < 0 then begin
-    prerr_endline "--refresh-ms must be non-negative";
-    exit 1
-  end;
-  match workload_of_string duration_ns workload with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    exit 1
-  | Ok dist ->
-    let guard = guard_of_flags ~timeout_us ~shed_depth ~retry_budget:None ~brownout in
-    let tick_ns = us tick_us in
-    let slo_spec =
-      {
-        Obs.Slo.default_spec with
-        Obs.Slo.name = Printf.sprintf "p99_%dus" slo_us;
-        threshold_ns = us slo_us;
-        window_ns = tick_ns;
-        fast_windows = 2;
-        slow_windows = 6;
-        burn_threshold = 3.0;
-      }
-    in
-    let policy =
-      if adaptive then
-        Preemptible.Policy.adaptive
-          (Preemptible.Quantum_controller.create
-             ~max_load_per_s:
-               (float_of_int workers *. 1e9
-               /. Workload.Service_dist.mean_ns dist ~now:0)
-             ~initial_quantum_ns:(us quantum_us) ())
-      else Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us)
-    in
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers ~policy
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    let cfg =
-      {
-        cfg with
-        Preemptible.Server.seed;
-        guard;
-        (* A dashboard wants the controller acting at dashboard
-           timescales; the 100 ms default stats window would leave the
-           quantum frozen for short runs. *)
-        stats_window_ns = ms 2;
-        telemetry =
-          Some
-            {
-              Preemptible.Telemetry.default with
-              Preemptible.Telemetry.tick_ns;
-              slos = [ slo_spec ];
-            };
-      }
-    in
-    let last_frame = ref None in
-    let last_render = ref neg_infinity in
-    let refresh_s = float_of_int refresh_ms /. 1e3 in
-    let probes =
-      {
-        Preemptible.Server.no_probes with
-        Preemptible.Server.on_tick =
-          (fun frame ->
-            last_frame := Some frame;
-            if not once then begin
-              let now = Unix.gettimeofday () in
-              if now -. !last_render >= refresh_s then begin
-                last_render := now;
-                render_frame ~clear:true frame
-              end
-            end);
-      }
-    in
-    let r =
-      Preemptible.Server.run ~probes cfg
-        ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-        ~source:(Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical)
-        ~duration_ns
-    in
-    (* Final frame: the only render in --once mode; live mode repaints
-       it so the terminal ends on the last state, not mid-run. *)
-    (match !last_frame with
-    | Some frame -> render_frame ~clear:(not once) frame
-    | None ->
-      Format.printf "lpctl top: no telemetry frame recorded (duration below one tick?)@.");
-    (match r.Preemptible.Server.telemetry with
-    | None -> ()
-    | Some tel ->
-      Format.printf "@.run summary: %d ticks, %d completed, p99=%.1fus@."
-        tel.Preemptible.Telemetry.t_ticks r.Preemptible.Server.completed
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-      Format.printf "  LC: %a@." Stat.Summary.pp_report_opt_us r.Preemptible.Server.lc;
-      Array.iteri
-        (fun i c ->
-          Format.printf "  core %d: %a@." i Preemptible.Telemetry.pp_core_attr c)
-        tel.Preemptible.Telemetry.t_cores;
-      List.iter
-        (fun rep -> Format.printf "  %a@." Obs.Slo.pp_report rep)
-        tel.Preemptible.Telemetry.t_slos;
-      Format.printf "  controller audit: %d decisions (%d dropped)@."
-        (List.length tel.Preemptible.Telemetry.t_audit)
-        tel.Preemptible.Telemetry.t_audit_dropped);
-    match r.Preemptible.Server.guard with
-    | Some g -> Format.printf "  guard: %a@." Guard.pp_report g
-    | None -> ()
-
-let top_cmd =
-  let workload = Arg.(value & opt string "a1" & info [ "workload" ] ~doc:"a1|a2|b|c") in
-  let rate =
-    Arg.(value & opt float 500_000.0 & info [ "rate" ] ~doc:"offered load, requests/s")
-  in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads") in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us") in
-  let adaptive =
-    Arg.(value & flag & info [ "adaptive" ] ~doc:"use the Algorithm-1 controller")
-  in
-  let duration = Arg.(value & opt int 200 & info [ "duration" ] ~doc:"run length, ms") in
-  let tick =
-    Arg.(value & opt int 1000 & info [ "tick" ] ~doc:"telemetry tick / SLO window, us")
-  in
-  let slo =
-    Arg.(
-      value & opt int 250
-      & info [ "slo" ] ~doc:"latency SLO threshold, us (objective 99% under threshold)")
-  in
-  let refresh =
-    Arg.(
-      value & opt int 50
-      & info [ "refresh-ms" ] ~doc:"minimum wall-clock delay between repaints")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ] ~doc:"no live repaints; print the final frame once and exit")
-  in
-  let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"simulation seed") in
-  let timeout =
-    Arg.(value & opt int 0 & info [ "timeout" ] ~doc:"client patience, us (0 = none)")
-  in
-  let shed =
-    Arg.(value & opt int 0 & info [ "shed" ] ~doc:"queue bound for shedding (0 = off)")
-  in
-  let brownout =
-    Arg.(value & flag & info [ "brownout" ] ~doc:"enable the brownout controller")
-  in
-  Cmd.v
-    (Cmd.info "top" ~doc:"live telemetry dashboard for a simulated server")
-    Term.(
-      const top $ workload $ rate $ workers $ quantum $ adaptive $ duration $ tick $ slo
-      $ refresh $ once $ seed $ timeout $ shed $ brownout)
-
-(* ------------------------------------------------------------------ *)
-(* ipc                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let ipc n =
-  List.iter
-    (fun mech -> Format.printf "%a@." Ksim.Ipc.pp_result (Ksim.Ipc.run_pingpong mech ~n))
-    Ksim.Ipc.all
-
-let ipc_cmd =
-  let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"ping-pong round trips") in
-  Cmd.v (Cmd.info "ipc" ~doc:"Table IV: IPC mechanism ping-pong") Term.(const ipc $ n)
-
-(* ------------------------------------------------------------------ *)
-(* timer                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let timer strategy threads interval_us rounds =
-  let strat =
-    match strategy with
-    | "creation" -> Ok Baselines.Timer_strategies.Creation_time
-    | "staggered" -> Ok Baselines.Timer_strategies.Staggered
-    | "chained" -> Ok Baselines.Timer_strategies.Chained
-    | "utimer" -> Ok Baselines.Timer_strategies.Userspace_timer
-    | s -> Error s
-  in
-  match strat with
-  | Error s ->
-    prerr_endline (Printf.sprintf "unknown strategy %S (creation|staggered|chained|utimer)" s);
-    exit 1
-  | Ok strat ->
-    let r =
-      Baselines.Timer_strategies.delivery_overhead strat ~threads ~interval_ns:(us interval_us)
-        ~rounds
-    in
-    Format.printf "%s threads=%d mean=%.2fus p99=%.2fus max=%.2fus@."
-      r.Baselines.Timer_strategies.strategy threads r.Baselines.Timer_strategies.mean_overhead_us
-      r.Baselines.Timer_strategies.p99_overhead_us r.Baselines.Timer_strategies.max_overhead_us
-
-let timer_cmd =
-  let strategy =
-    Arg.(value & opt string "utimer" & info [ "strategy" ] ~doc:"creation|staggered|chained|utimer")
-  in
-  let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"timer-armed threads") in
-  let interval = Arg.(value & opt int 100 & info [ "interval" ] ~doc:"timer interval, us") in
-  let rounds = Arg.(value & opt int 1000 & info [ "rounds" ] ~doc:"measured firings per thread") in
-  Cmd.v
-    (Cmd.info "timer" ~doc:"Fig 11: timer delivery overhead for one strategy")
-    Term.(const timer $ strategy $ threads $ interval $ rounds)
-
-(* ------------------------------------------------------------------ *)
-(* colocate                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let colocate rate quantum_us be_fraction duration_ms =
-  let mica = Workload.Mica.create () in
-  let zlib = Workload.Zlib_be.create () in
-  let source =
-    Workload.Source.mix
-      [ (1.0 -. be_fraction, Workload.Mica.source mica); (be_fraction, Workload.Zlib_be.source zlib) ]
-  in
-  let policy =
-    if quantum_us = 0 then Preemptible.Policy.no_preempt
-    else Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us)
-  in
-  let mechanism =
-    if quantum_us = 0 then Preemptible.Server.No_mechanism
-    else Preemptible.Server.Uintr_utimer Utimer.default_config
-  in
-  let cfg = Preemptible.Server.default_config ~n_workers:1 ~policy ~mechanism in
-  let r =
-    Preemptible.Server.run cfg
-      ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-      ~source ~duration_ns:(ms duration_ms)
-  in
-  pp_result r
-
-let colocate_cmd =
-  let rate = Arg.(value & opt float 55_000.0 & info [ "rate" ] ~doc:"requests/s") in
-  let quantum = Arg.(value & opt int 30 & info [ "quantum" ] ~doc:"us; 0 = no preemption") in
-  let be = Arg.(value & opt float 0.02 & info [ "be-fraction" ] ~doc:"best-effort share") in
-  let duration = Arg.(value & opt int 300 & info [ "duration" ] ~doc:"ms") in
-  Cmd.v
-    (Cmd.info "colocate" ~doc:"Sec V-C: MICA (LC) + zlib (BE) on one worker")
-    Term.(const colocate $ rate $ quantum $ be $ duration)
-
-(* ------------------------------------------------------------------ *)
-(* precision                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let precision source_s threads target_us samples =
-  let source =
-    match source_s with
-    | "kernel" -> `Kernel_timer
-    | "utimer" -> `Utimer
-    | s ->
-      prerr_endline (Printf.sprintf "unknown source %S (kernel|utimer)" s);
-      exit 1
-  in
-  let r =
-    Baselines.Timer_strategies.precision source ~threads ~target_ns:(us target_us) ~samples
-  in
-  Format.printf "%s target=%dus mean=%.2fus std=%.2fus p99=%.2fus rel.err=%.1f%%@."
-    r.Baselines.Timer_strategies.source target_us r.Baselines.Timer_strategies.mean_gap_us
-    r.Baselines.Timer_strategies.std_gap_us r.Baselines.Timer_strategies.p99_gap_us
-    (100.0 *. r.Baselines.Timer_strategies.rel_error)
-
-let precision_cmd =
-  let source = Arg.(value & opt string "utimer" & info [ "source" ] ~doc:"kernel|utimer") in
-  let threads = Arg.(value & opt int 26 & info [ "threads" ] ~doc:"concurrent timer users") in
-  let target = Arg.(value & opt int 20 & info [ "target" ] ~doc:"target interval, us") in
-  let samples = Arg.(value & opt int 5000 & info [ "samples" ] ~doc:"measured gaps") in
-  Cmd.v
-    (Cmd.info "precision" ~doc:"Fig 12: timer precision")
-    Term.(const precision $ source $ threads $ target $ samples)
-
-(* ------------------------------------------------------------------ *)
-(* faults                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let faults_csv rows =
-  match Exec.Env.getenv_nonempty "LP_BENCH_CSV" with
+(* The dashboard's closing output: the last frame (the only render when
+   stdout is not a terminal; a live dashboard repaints it so the screen
+   ends on the final state), then whole-run totals. *)
+let print_top ~live last_frame (r : Preemptible.Server.result) =
+  (match last_frame with
+  | Some frame -> render_frame ~clear:live frame
+  | None ->
+    Format.printf "lpctl top: no telemetry frame recorded (duration below one tick?)@.");
+  (match r.Preemptible.Server.telemetry with
   | None -> ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path = Filename.concat dir "lpctl_faults.csv" in
-    let oc = open_out path in
-    output_string oc "case,p99_us,ratio_vs_fault_free,injected,detected,recovered,undetected\n";
-    List.iter (fun row -> output_string oc (row ^ "\n")) rows;
-    close_out oc;
-    Format.printf "(csv: %s)@." path
+  | Some tel ->
+    Format.printf "@.run summary: %d ticks, %d completed, p99=%.1fus@."
+      tel.Preemptible.Telemetry.t_ticks r.Preemptible.Server.completed
+      (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
+    Format.printf "  LC: %a@." Stat.Summary.pp_report_opt_us r.Preemptible.Server.lc;
+    Array.iteri
+      (fun i c -> Format.printf "  core %d: %a@." i Preemptible.Telemetry.pp_core_attr c)
+      tel.Preemptible.Telemetry.t_cores;
+    List.iter
+      (fun rep -> Format.printf "  %a@." Obs.Slo.pp_report rep)
+      tel.Preemptible.Telemetry.t_slos;
+    Format.printf "  controller audit: %d decisions (%d dropped)@."
+      (List.length tel.Preemptible.Telemetry.t_audit)
+      tel.Preemptible.Telemetry.t_audit_dropped);
+  match r.Preemptible.Server.guard with
+  | Some g -> Format.printf "  guard: %a@." Guard.pp_report g
+  | None -> ()
 
-let faults rate spec recovery seed workers quantum_us load duration_ms =
-  let duration_ns = ms duration_ms in
-  let dist = Workload.Service_dist.workload_a1 in
-  let capacity =
-    float_of_int workers *. 1e9 /. Workload.Service_dist.mean_ns dist ~now:0
+(* ------------------------------------------------------------------ *)
+(* run                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One single-server simulation with the requested output modes.  Each
+   mode only record-updates the spec's lowered config with a passive
+   observer (trace ring, telemetry tick), so the simulated schedule is
+   the one plain [run] would produce. *)
+let run_observed spec ~trace ~top ~metrics_out =
+  let cfg = Scenario.server_config spec in
+  let cfg =
+    if trace = None then cfg
+    else { cfg with Preemptible.Server.trace = Some Obs.Trace.default_config }
   in
-  let arrival = Workload.Arrival.poisson ~rate_per_sec:(load *. capacity) in
-  let source = Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical in
-  let spec = if spec = "" then Printf.sprintf "uipi.drop=p:%g" rate else spec in
-  (match recovery with
-  | "on" | "off" | "both" -> ()
-  | s ->
-    prerr_endline (Printf.sprintf "unknown --recovery %S (on|off|both)" s);
-    exit 1);
-  (match Fault.parse (Fault.create ~seed ()) spec with
-  | Ok () -> ()
-  | Error m ->
-    prerr_endline ("bad --spec: " ^ m);
-    exit 1);
-  let run_one ~plan ~watchdog =
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers
-        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us))
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
+  let cfg =
+    if top then { cfg with Preemptible.Server.telemetry = Some top_telemetry } else cfg
+  in
+  let live = top && Unix.isatty Unix.stdout in
+  let last_frame = ref None in
+  let last_render = ref neg_infinity in
+  let on_tick frame =
+    last_frame := Some frame;
+    if live then begin
+      let now = Unix.gettimeofday () in
+      if now -. !last_render >= top_refresh_s then begin
+        last_render := now;
+        render_frame ~clear:true frame
+      end
+    end
+  in
+  let r =
     Preemptible.Server.run
-      { cfg with Preemptible.Server.faults = plan; watchdog; seed }
-      ~arrival ~source ~duration_ns
+      ~probes:{ Preemptible.Server.no_probes with Preemptible.Server.on_tick }
+      ~warmup_ns:spec.Scenario.warmup_ns cfg ~arrival:(Scenario.arrival_process spec)
+      ~source:(Scenario.source_sampler spec) ~duration_ns:spec.Scenario.duration_ns
   in
-  let plan () =
-    let f = Fault.create ~seed () in
-    (match Fault.parse f spec with
-    | Ok () -> ()
-    | Error m ->
-      prerr_endline ("bad --spec: " ^ m);
-      exit 1);
-    Some f
-  in
-  let base = run_one ~plan:None ~watchdog:None in
-  let base_p99 = base.Preemptible.Server.all.Stat.Summary.p99 in
-  Format.printf "fault-free      p99=%8.1fus@." (base_p99 /. 1e3);
-  let rows = ref [] in
-  let show name r =
-    let p99 = r.Preemptible.Server.all.Stat.Summary.p99 in
-    (match r.Preemptible.Server.resilience with
-    | Some res ->
-      Format.printf "%-15s p99=%8.1fus (%5.1fx)@.  %a@." name (p99 /. 1e3)
-        (p99 /. base_p99) Preemptible.Server.pp_resilience res;
-      let fr = res.Preemptible.Server.fault_report in
-      rows :=
-        Printf.sprintf "%s,%.1f,%.3f,%d,%d,%d,%d" name (p99 /. 1e3) (p99 /. base_p99)
-          fr.Fault.injected fr.Fault.detected fr.Fault.recovered fr.Fault.undetected
-        :: !rows
-    | None -> ())
-  in
-  (match recovery with
-  | "off" -> show "recovery-off" (run_one ~plan:(plan ()) ~watchdog:None)
-  | "on" ->
-    show "recovery-on"
-      (run_one ~plan:(plan ()) ~watchdog:(Some Utimer.default_watchdog))
-  | "both" ->
-    show "recovery-off" (run_one ~plan:(plan ()) ~watchdog:None);
-    show "recovery-on"
-      (run_one ~plan:(plan ()) ~watchdog:(Some Utimer.default_watchdog))
-  | s ->
-    prerr_endline (Printf.sprintf "unknown --recovery %S (on|off|both)" s);
-    exit 1);
-  faults_csv (List.rev !rows)
-
-let faults_cmd =
-  let rate =
-    Arg.(value & opt float 0.01 & info [ "rate" ] ~doc:"UIPI loss probability (ignored with --spec)")
-  in
-  let spec =
-    Arg.(
-      value & opt string ""
-      & info [ "spec" ]
-          ~doc:"fault schedule, e.g. uipi.drop=p:0.01,utimer.crash=once:2000")
-  in
-  let recovery = Arg.(value & opt string "both" & info [ "recovery" ] ~doc:"on|off|both") in
-  let seed = Arg.(value & opt int64 7L & info [ "seed" ] ~doc:"simulation + fault seed") in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ]) in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"us") in
-  let load = Arg.(value & opt float 0.6 & info [ "load" ] ~doc:"fraction of capacity") in
-  let duration = Arg.(value & opt int 60 & info [ "duration" ] ~doc:"ms") in
-  Cmd.v
-    (Cmd.info "faults" ~doc:"resilience: fault injection with recovery on/off"
-       ~envs:[ env_bench_csv ])
-    Term.(
-      const faults $ rate $ spec $ recovery $ seed $ workers $ quantum $ load $ duration)
-
-(* ------------------------------------------------------------------ *)
-(* trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let parse_categories s =
-  if String.trim s = "" then Obs.Trace.all_cats
-  else
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun c -> c <> "")
-    |> List.map (fun c ->
-           match Obs.Trace.cat_of_string c with
-           | Ok cat -> cat
-           | Error m ->
-             prerr_endline ("bad --categories: " ^ m);
-             exit 1)
-
-let trace out categories buffer_events breakdown workload rate quantum_us workers
-    duration_ms seed =
-  let duration_ns = ms duration_ms in
-  (* Validate every knob before the simulation spends any time. *)
-  if buffer_events <= 0 then begin
-    prerr_endline "--buffer-events must be positive";
-    exit 1
-  end;
-  if workers <= 0 then begin
-    prerr_endline "--workers must be positive";
-    exit 1
-  end;
-  if quantum_us <= 0 then begin
-    prerr_endline "--quantum must be positive";
-    exit 1
-  end;
-  if rate <= 0.0 then begin
-    prerr_endline "--rate must be positive";
-    exit 1
-  end;
-  if duration_ms <= 0 then begin
-    prerr_endline "--duration must be positive";
-    exit 1
-  end;
-  let categories = parse_categories categories in
-  let out =
-    match out with
-    | "" -> (
-      (* An empty LP_TRACE_OUT counts as unset, matching the bench
-         harness convention. *)
-      match Exec.Env.getenv_nonempty "LP_TRACE_OUT" with
-      | Some f -> f
-      | None -> "trace.json")
-    | f -> f
-  in
-  match workload_of_string duration_ns workload with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    exit 1
-  | Ok dist ->
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers
-        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us))
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    let cfg =
-      {
-        cfg with
-        Preemptible.Server.seed;
-        trace = Some { Obs.Trace.capacity = buffer_events; categories };
-      }
-    in
-    let r =
-      Preemptible.Server.run cfg
-        ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-        ~source:(Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical)
-        ~duration_ns
-    in
-    pp_result r;
-    (match r.Preemptible.Server.trace with
-    | None -> ()
-    | Some tr ->
-      Obs.Export.perfetto_to_file tr ~path:out;
+  if top then print_top ~live !last_frame r else pp_result r;
+  Option.iter
+    (fun path ->
+      Obs.Export.prometheus_to_file r.Preemptible.Server.metrics ~path;
+      Format.printf "(metrics: %s)@." path)
+    metrics_out;
+  Option.iter
+    (fun path ->
+      let tr = Option.get r.Preemptible.Server.trace in
+      Obs.Export.perfetto_to_file tr ~path;
       Format.printf "trace: %d events recorded, %d dropped -> %s@." (Obs.Trace.recorded tr)
-        (Obs.Trace.dropped tr) out;
-      if breakdown then begin
-        let bd = Obs.Breakdown.of_trace tr in
-        Format.printf "%a@." Obs.Breakdown.pp bd;
-        if not (Obs.Breakdown.sums_ok bd) then begin
-          prerr_endline "breakdown components do not telescope to total latency";
-          exit 1
-        end
-      end);
-    Format.printf "metrics:@.%a@." Obs.Metrics.pp_snapshot r.Preemptible.Server.metrics
+        (Obs.Trace.dropped tr) path;
+      let bd = Obs.Breakdown.of_trace tr in
+      Format.printf "%a@." Obs.Breakdown.pp bd;
+      if not (Obs.Breakdown.sums_ok bd) then
+        fail "breakdown components do not telescope to total latency";
+      Format.printf "metrics:@.%a@." Obs.Metrics.pp_snapshot r.Preemptible.Server.metrics)
+    trace
 
-let trace_cmd =
-  let out =
-    Arg.(
-      value & opt string ""
-      & info [ "out" ] ~doc:"Perfetto JSON output path (default $(b,LP_TRACE_OUT) or trace.json)")
-  in
-  let categories =
-    Arg.(
-      value & opt string ""
-      & info [ "categories" ]
-          ~doc:"comma-separated category filter (uipi,klock,utimer,sched,server,request,fault,fiber,exec); empty = all")
-  in
-  let buffer_events =
-    Arg.(
-      value
-      & opt int Obs.Trace.default_config.Obs.Trace.capacity
-      & info [ "buffer-events" ] ~doc:"trace ring capacity in events")
-  in
-  let breakdown =
-    Arg.(value & flag & info [ "breakdown" ] ~doc:"print the per-request latency breakdown")
-  in
-  let workload = Arg.(value & opt string "a1" & info [ "workload" ] ~doc:"a1|a2|b|c") in
-  let rate = Arg.(value & opt float 500_000.0 & info [ "rate" ] ~doc:"offered load, requests/s") in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us") in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads") in
-  let duration = Arg.(value & opt int 100 & info [ "duration" ] ~doc:"run length, ms") in
-  let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"simulation seed") in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"traced LibPreemptible run: Perfetto export + latency breakdown"
-       ~envs:[ env_trace_out ])
-    Term.(
-      const trace $ out $ categories $ buffer_events $ breakdown $ workload $ rate $ quantum
-      $ workers $ duration $ seed)
-
-(* ------------------------------------------------------------------ *)
-(* run (declarative scenarios)                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* lpctl run SCENARIO: SCENARIO is a .scn file when one exists at that
-   path, otherwise it is parsed as an inline spec string, so both
-
-     lpctl run scenarios/tail_attack.scn
-     lpctl run "workers=4; src=b; arrival=poisson:0.8x; dur=30ms"
-
-   work.  -s KEY=VALUE overrides apply on top in order.  --rt executes
-   the spec on real domains (Fiber_rt) instead of the simulator. *)
-let run_scenario scenario sets print_only rt =
+(* SCENARIO is a .scn file when one exists at that path, otherwise an
+   inline spec string; -s KEY=VALUE overrides apply on top in order. *)
+let run_scenario scenario sets print_only rt trace top metrics_out =
   let parsed =
     if Sys.file_exists scenario then Scenario.of_file scenario
     else Scenario.of_string scenario
@@ -1001,32 +211,41 @@ let run_scenario scenario sets print_only rt =
   let spec =
     match parsed with
     | Ok spec -> spec
-    | Error e ->
-      prerr_endline (Scenario.error_to_string e);
-      exit 1
+    | Error e -> fail "%s" (Scenario.error_to_string e)
   in
   let spec =
     List.fold_left
       (fun spec text ->
         match Scenario.override spec text with
         | Ok spec -> spec
-        | Error e ->
-          prerr_endline ("-s " ^ text ^ ": " ^ Scenario.error_to_string e);
-          exit 1)
+        | Error e -> fail "-s %s: %s" text (Scenario.error_to_string e))
       spec sets
   in
-  (match Scenario.validate spec with
-  | Ok () -> ()
-  | Error m ->
-    prerr_endline m;
-    exit 1);
-  if print_only then print_string (Scenario.to_string spec)
+  (match Scenario.validate spec with Ok () -> () | Error m -> fail "%s" m);
+  let mode =
+    if trace <> None then Some "--trace"
+    else if top then Some "--top"
+    else if metrics_out <> None then Some "--metrics-out"
+    else None
+  in
+  Option.iter
+    (fun mode ->
+      let conflict =
+        if rt then Some "--rt"
+        else if print_only then Some "--print"
+        else if spec.Scenario.fleet <> None then Some "a fleet={...} spec"
+        else
+          match spec.Scenario.system with
+          | Scenario.Lp | Scenario.Lp_nouintr -> None
+          | sys -> Some ("sys=" ^ Scenario.system_name sys)
+      in
+      Option.iter
+        (fail "%s needs one single-server sys=lp|lp-nouintr simulation, not %s" mode)
+        conflict)
+    mode;
+  if print_only then print_endline (Scenario.to_string spec)
   else if rt then begin
-    (match Scenario.validate_rt spec with
-    | Ok () -> ()
-    | Error m ->
-      prerr_endline ("--rt: " ^ m);
-      exit 1);
+    (match Scenario.validate_rt spec with Ok () -> () | Error m -> fail "--rt: %s" m);
     Format.printf "# %s@." (Scenario.to_string spec);
     Format.printf "# executing on %d real domain(s) + 1 timer domain (wall clock)@."
       spec.Scenario.workers;
@@ -1034,9 +253,11 @@ let run_scenario scenario sets print_only rt =
   end
   else begin
     Format.printf "# %s@." (Scenario.to_string spec);
-    match Scenario.run spec with
-    | Scenario.Server r -> pp_result r
-    | Scenario.Fleet r -> pp_fleet_result r
+    if mode <> None then run_observed spec ~trace ~top ~metrics_out
+    else
+      match Scenario.run spec with
+      | Scenario.Server r -> pp_result r
+      | Scenario.Fleet r -> pp_fleet_result r
   end
 
 let run_cmd =
@@ -1068,9 +289,121 @@ let run_cmd =
              simulator; supports the single-server lp subset of the language (no fleet, \
              guard, faults, watchdog or adaptive quantum)")
   in
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "record every trace category (2^20-event ring) and write Perfetto JSON to \
+             $(docv); also prints the per-request latency breakdown (exit 1 if it does \
+             not telescope) and the metrics snapshot")
+  in
+  let top =
+    Arg.(
+      value & flag
+      & info [ "top" ]
+          ~doc:
+            "telemetry dashboard (1 ms tick, SLO p99 <= 250us): repaints live on a \
+             terminal, otherwise prints the final frame once; ends with a run summary")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:"write the run's metrics snapshot to $(docv) in Prometheus text format")
+  in
   Cmd.v
-    (Cmd.info "run" ~doc:"parse, validate and run a declarative scenario")
-    Term.(const run_scenario $ scenario $ sets $ print_only $ rt)
+    (Cmd.info "run" ~doc:"parse, validate and run a declarative scenario"
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "on a scenario that does not parse or validate, an output mode combined \
+               with what it rejects, or a trace breakdown that does not telescope."
+         :: Cmd.Exit.defaults)
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "$(b,--trace), $(b,--top) and $(b,--metrics-out) may be combined; each needs \
+              one single-server sys=lp|lp-nouintr simulation (no fleet, baseline system, \
+              $(b,--rt) or $(b,--print)).";
+         ])
+    Term.(const run_scenario $ scenario $ sets $ print_only $ rt $ trace $ top $ metrics_out)
+
+(* ------------------------------------------------------------------ *)
+(* ipc                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let ipc n =
+  List.iter
+    (fun mech -> Format.printf "%a@." Ksim.Ipc.pp_result (Ksim.Ipc.run_pingpong mech ~n))
+    Ksim.Ipc.all
+
+let ipc_cmd =
+  let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"ping-pong round trips") in
+  Cmd.v (Cmd.info "ipc" ~doc:"Table IV: IPC mechanism ping-pong") Term.(const ipc $ n)
+
+(* ------------------------------------------------------------------ *)
+(* timer                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let timer strategy threads interval_us rounds =
+  let strat =
+    match strategy with
+    | "creation" -> Baselines.Timer_strategies.Creation_time
+    | "staggered" -> Baselines.Timer_strategies.Staggered
+    | "chained" -> Baselines.Timer_strategies.Chained
+    | "utimer" -> Baselines.Timer_strategies.Userspace_timer
+    | s -> fail "unknown strategy %S (creation|staggered|chained|utimer)" s
+  in
+  let r =
+    Baselines.Timer_strategies.delivery_overhead strat ~threads ~interval_ns:(us interval_us)
+      ~rounds
+  in
+  Format.printf "%s threads=%d mean=%.2fus p99=%.2fus max=%.2fus@."
+    r.Baselines.Timer_strategies.strategy threads r.Baselines.Timer_strategies.mean_overhead_us
+    r.Baselines.Timer_strategies.p99_overhead_us r.Baselines.Timer_strategies.max_overhead_us
+
+let timer_cmd =
+  let strategy =
+    Arg.(value & opt string "utimer" & info [ "strategy" ] ~doc:"creation|staggered|chained|utimer")
+  in
+  let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"timer-armed threads") in
+  let interval = Arg.(value & opt int 100 & info [ "interval" ] ~doc:"timer interval, us") in
+  let rounds = Arg.(value & opt int 1000 & info [ "rounds" ] ~doc:"measured firings per thread") in
+  Cmd.v
+    (Cmd.info "timer" ~doc:"Fig 11: timer delivery overhead for one strategy")
+    Term.(const timer $ strategy $ threads $ interval $ rounds)
+
+(* ------------------------------------------------------------------ *)
+(* precision                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let precision source_s threads target_us samples =
+  let source =
+    match source_s with
+    | "kernel" -> `Kernel_timer
+    | "utimer" -> `Utimer
+    | s -> fail "unknown source %S (kernel|utimer)" s
+  in
+  let r =
+    Baselines.Timer_strategies.precision source ~threads ~target_ns:(us target_us) ~samples
+  in
+  Format.printf "%s target=%dus mean=%.2fus std=%.2fus p99=%.2fus rel.err=%.1f%%@."
+    r.Baselines.Timer_strategies.source target_us r.Baselines.Timer_strategies.mean_gap_us
+    r.Baselines.Timer_strategies.std_gap_us r.Baselines.Timer_strategies.p99_gap_us
+    (100.0 *. r.Baselines.Timer_strategies.rel_error)
+
+let precision_cmd =
+  let source = Arg.(value & opt string "utimer" & info [ "source" ] ~doc:"kernel|utimer") in
+  let threads = Arg.(value & opt int 26 & info [ "threads" ] ~doc:"concurrent timer users") in
+  let target = Arg.(value & opt int 20 & info [ "target" ] ~doc:"target interval, us") in
+  let samples = Arg.(value & opt int 5000 & info [ "samples" ] ~doc:"measured gaps") in
+  Cmd.v
+    (Cmd.info "precision" ~doc:"Fig 12: timer precision")
+    Term.(const precision $ source $ threads $ target $ samples)
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
@@ -1082,9 +415,7 @@ let attack scenario_s storm victim_rate duration_ms =
     | "native" -> Baselines.Attack.Native_uintr_storm
     | "libpreemptible" | "lp" -> Baselines.Attack.Libpreemptible_storm
     | "apic" -> Baselines.Attack.Shinjuku_apic_storm
-    | s ->
-      prerr_endline (Printf.sprintf "unknown scenario %S (native|lp|apic)" s);
-      exit 1
+    | s -> fail "unknown scenario %S (native|lp|apic)" s
   in
   let r =
     Baselines.Attack.run scenario ~storm_per_sec:storm ~victim_rate
@@ -1106,15 +437,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "lpctl" ~doc)
-          [
-            serve_cmd;
-            run_cmd;
-            top_cmd;
-            ipc_cmd;
-            timer_cmd;
-            colocate_cmd;
-            precision_cmd;
-            attack_cmd;
-            faults_cmd;
-            trace_cmd;
-          ]))
+          [ run_cmd; ipc_cmd; timer_cmd; precision_cmd; attack_cmd ]))

@@ -126,6 +126,11 @@ type result = {
       (** the merged fleet latency sketch (measured completions, ns) *)
 }
 
+val validate : config -> unit
+(** The checks {!run} makes before simulating: raises
+    [Invalid_argument] on an empty fleet, bad steal knobs, or stealing
+    combined with retry guards. *)
+
 val run :
   ?probes:probes ->
   ?warmup_ns:int ->

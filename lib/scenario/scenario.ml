@@ -1011,11 +1011,9 @@ let override base text =
 let of_string text = override default text
 
 let of_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  of_string text
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> of_string text
+  | exception Sys_error msg -> Error { pos = 0; field = "file"; msg }
 
 (* ------------------------------------------------------------------ *)
 (* Semantics / lowering                                                *)
@@ -1065,8 +1063,8 @@ let rec source_mean_ns s src ~now =
       (0., 0) tenants
     |> fst
 
-(* Mirrors Bench_util.capacity_rps: a phased source is as slow as its
-   slowest phase, so size by the larger of start/end means. *)
+(* A phased source is as slow as its slowest phase, so size by the
+   larger of start/end means. *)
 let capacity_rps s =
   let mean_start = source_mean_ns s s.src ~now:0 in
   let mean_end = source_mean_ns s s.src ~now:(max 0 (s.duration_ns - 1)) in
@@ -1344,9 +1342,24 @@ let run s =
 
 let validate s =
   match
+    let fleet_workers =
+      match s.fleet with Some { f_workers = Some l; _ } -> l | _ -> []
+    in
+    if List.exists (fun w -> w < 1) (s.workers :: fleet_workers) then
+      invalid_arg "scenario: workers must be >= 1";
+    (match s.window_ns with
+    | Some w when w <= 0 -> invalid_arg "scenario: window must be positive"
+    | _ -> ());
+    (match s.quantum with
+    | Fixed q when q <= 0 -> invalid_arg "scenario: quantum must be positive"
+    | _ -> ());
+    if s.duration_ns <= 0 then invalid_arg "scenario: dur must be positive";
+    if s.warmup_ns < 0 || s.warmup_ns >= s.duration_ns then
+      invalid_arg "scenario: warmup must lie in [0, dur)";
     (match s.system with
     | Lp | Lp_nouintr ->
-      if s.fleet <> None then ignore (cluster_config s)
+      Option.iter Guard.validate (guard_config s);
+      if s.fleet <> None then Cluster.validate (cluster_config s)
       else ignore (server_config s)
     | sys ->
       baseline_reject s (system_name sys);

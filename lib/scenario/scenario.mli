@@ -178,8 +178,9 @@ val override : t -> string -> (t, error) result
     the mechanism behind variant sweeps and [lpctl run -s KEY=V]. *)
 
 val of_file : string -> (t, error) result
-(** {!of_string} on a file's contents.  Raises [Sys_error] if the file
-    cannot be read. *)
+(** {!of_string} on a file's contents.  A file that cannot be read
+    (missing, a directory, no permission) is an [Error] with
+    [field = "file"] and [pos = 0]. *)
 
 val to_string : t -> string
 (** Canonical form: fixed field order, defaults omitted, times printed
@@ -222,10 +223,14 @@ val cluster_config : t -> Cluster.config
     reference. *)
 
 val validate : t -> (unit, string) result
-(** Cross-field checks without running: baseline systems reject
-    lp-only knobs (guard, faults, fleets, adaptive quanta), fault
-    specs must parse, fleet worker lists must match [n], relative
-    rates need an analytic service mean, etc. *)
+(** Cross-field checks without running, so a bad spec is reported
+    before any simulation work: positive worker counts, window and
+    fixed quantum; [dur > 0] and [0 <= warmup < dur]; baseline systems
+    reject lp-only knobs (guard, faults, fleets, adaptive quanta); the
+    guard must pass {!Guard.validate} (e.g. retries need a timeout)
+    and a fleet {!Cluster.validate} (e.g. stealing excludes retries);
+    fault specs must parse, fleet worker lists must match [n],
+    relative rates need an analytic service mean, etc. *)
 
 (** {1 Running} *)
 

@@ -342,7 +342,11 @@ let test_errors_name_field () =
   ignore (expect_error "faults" "faults={uipi.drop=sometimes}");
   ignore (expect_error "fleet" "fleet={lb=p2c}");
   ignore (expect_error "fleet" "fleet={n=2;lb=magic}");
-  ignore (expect_error "scenario" "guard={timeout=1us")
+  ignore (expect_error "scenario" "guard={timeout=1us");
+  (* An unreadable path (here a directory) is an Error; of_file never raises. *)
+  match Scenario.of_file Filename.current_dir_name with
+  | Ok _ -> Alcotest.fail "a directory must not parse as a scenario"
+  | Error e -> check_string "field for a directory" "file" e.Scenario.field
 
 let test_error_positions_point_at_token () =
   let e = expect_error "src" "sys=lp;src=a3;dur=10ms" in
@@ -383,6 +387,15 @@ let test_validate () =
   bad "sys=go;fleet={n=2}";
   bad "sys=lp;fleet={n=3;workers=1/2}";
   bad "src=mica;arrival=poisson:0.5x";
+  (* Checks the simulators would otherwise raise on mid-run. *)
+  bad "dur=0ms";
+  bad "dur=10ms;warmup=20ms";
+  bad "guard={retry}";
+  bad "fleet={n=2;steal};guard={timeout=100us;retry}";
+  bad "workers=0;arrival=poisson:1000";
+  bad "fleet={n=2;workers=0/1};arrival=poisson:1000";
+  bad "window=0ns";
+  bad "sys=libinger;quantum=0us";
   ok "src=mica;arrival=poisson:100k"
 
 let test_run_server_smoke () =
