@@ -58,16 +58,10 @@ let elements =
     ( "--crossval",
       "Cross-validation: sim vs real fiber runtime on matched specs",
       fun ~jobs:_ () -> Bench_crossval.run () );
-    ( "--rt",
-      "Real-core fiber runtime micro-benchmarks (meta-only)",
-      fun ~jobs:_ () -> Bench_rt.run () );
     ("--micro", "Bechamel micro-benchmarks", fun ~jobs:_ () -> Bench_micro.run ());
     ( "--perf",
       "Engine hot-path throughput + allocation budget (meta-only)",
       fun ~jobs:_ () -> Bench_perf.run () );
-    ( "--trace",
-      "Traced run: Perfetto export + latency breakdown",
-      fun ~jobs:_ () -> Bench_trace.run () );
   ]
 
 let list_elements () =
@@ -162,13 +156,10 @@ let () =
     Format.printf "@.done in %.1fs@." (Unix.gettimeofday () -. t0)
   | [ "--list" ] -> list_elements ()
   | flags ->
-    (* --trace and --scenario consume a following FILE operand; every
-       other element is a bare flag. *)
+    (* --scenario consumes a following FILE operand; every other
+       element is a bare flag. *)
     let rec go = function
       | [] -> ()
-      | "--trace" :: file :: rest when String.length file > 0 && file.[0] <> '-' ->
-        Bench_report.timed "trace" (fun () -> Bench_trace.run ~out:file ());
-        go rest
       | "--scenario" :: file :: rest when String.length file > 0 && file.[0] <> '-' ->
         Bench_report.timed "scenario" (fun () -> run_scenario_file file);
         go rest

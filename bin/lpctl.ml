@@ -201,6 +201,23 @@ let run_observed spec ~trace ~top ~metrics_out =
       Format.printf "metrics:@.%a@." Obs.Metrics.pp_snapshot r.Preemptible.Server.metrics)
     trace
 
+(* A valid spec can still measure no completion: too little load for its
+   duration, or a warmup that covers every arrival.  The layers below
+   raise on that (Summary.report's "no data", the runners' "no measured
+   completions"); report it as one error line instead of a crash. *)
+let reporting_no_completions f =
+  let mentions sub m =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length m && (String.sub m i n = sub || at (i + 1)) in
+    at 0
+  in
+  try f ()
+  with (Invalid_argument m | Failure m)
+  when mentions "no data" m || mentions "no measured completions" m ->
+    fail "lpctl: the run measured no completions (%s); offer more load, a longer dur or a \
+          shorter warmup"
+      m
+
 (* SCENARIO is a .scn file when one exists at that path, otherwise an
    inline spec string; -s KEY=VALUE overrides apply on top in order. *)
 let run_scenario scenario sets print_only rt trace top metrics_out =
@@ -249,15 +266,17 @@ let run_scenario scenario sets print_only rt trace top metrics_out =
     Format.printf "# %s@." (Scenario.to_string spec);
     Format.printf "# executing on %d real domain(s) + 1 timer domain (wall clock)@."
       spec.Scenario.workers;
-    Format.printf "%a@." Fiber_rt.Sched.pp_result (Scenario.run_rt spec)
+    reporting_no_completions (fun () ->
+        Format.printf "%a@." Fiber_rt.Sched.pp_result (Scenario.run_rt spec))
   end
   else begin
     Format.printf "# %s@." (Scenario.to_string spec);
-    if mode <> None then run_observed spec ~trace ~top ~metrics_out
-    else
-      match Scenario.run spec with
-      | Scenario.Server r -> pp_result r
-      | Scenario.Fleet r -> pp_fleet_result r
+    reporting_no_completions (fun () ->
+        if mode <> None then run_observed spec ~trace ~top ~metrics_out
+        else
+          match Scenario.run spec with
+          | Scenario.Server r -> pp_result r
+          | Scenario.Fleet r -> pp_fleet_result r)
   end
 
 let run_cmd =

@@ -38,26 +38,37 @@ let () =
         order := name :: !order)
       tasks
   in
-  let stats = Fiber_rt.Round_robin.run rt wrapped in
-  Format.printf "completed=%d scheduler_rounds=%d preemptions=%d@."
-    stats.Fiber_rt.Round_robin.completed stats.Fiber_rt.Round_robin.rounds
-    stats.Fiber_rt.Round_robin.preemptions;
+  (* Fig 7's scheduler loop: launch every function (each runs until it
+     completes or its first slice ends), then resume the unfinished
+     ones round-robin until all complete. *)
+  let fns = List.map (fun body -> F.fn_launch rt body) wrapped in
+  let rounds = ref 0 in
+  while List.exists (fun fn -> not (F.fn_completed fn)) fns do
+    incr rounds;
+    List.iter (fun fn -> if not (F.fn_completed fn) then F.fn_resume fn) fns
+  done;
+  Format.printf "completed=%d scheduler_rounds=%d preemptions=%d@." (List.length fns) !rounds
+    (List.fold_left (fun acc fn -> acc + F.preempt_count fn) 0 fns);
   Format.printf "completion order: %s@." (String.concat " -> " (List.rev !order));
   Format.printf
     "note how the short tasks finish first: preemption removed head-of-line blocking@.";
 
-  (* The same API under wall-clock time with the dedicated timer domain
-     (LibUtimer's timer core). On a single-CPU host the timer domain is
-     scheduled by the kernel, so slices are coarser — exactly why the
-     paper dedicates a core to the timer thread. *)
-  let wall_rt = F.create ~quantum_ns:1_000_000 ~timer:F.Timer_domain ~clock:(Clock.wall ()) () in
+  (* The same runtime under wall-clock time on a one-worker pool, whose
+     shared timer domain plays LibUtimer's timer core. On a single-CPU
+     host the timer domain is scheduled by the kernel, so slices are
+     coarser — exactly why the paper dedicates a core to the timer
+     thread. *)
+  let pool = Fiber_rt.Pool.create ~quantum_ns:1_000_000 ~workers:1 () in
   let spin ms () =
     let stop = Unix.gettimeofday () +. (float_of_int ms /. 1e3) in
     while Unix.gettimeofday () < stop do
-      F.checkpoint wall_rt
+      Fiber_rt.Pool.checkpoint ()
     done
   in
-  let wall_stats = Fiber_rt.Round_robin.run wall_rt [ spin 30; spin 30 ] in
-  F.shutdown wall_rt;
+  List.iter (fun ms -> Fiber_rt.Pool.submit pool (spin ms)) [ 30; 30 ];
+  Fiber_rt.Pool.drain pool;
+  let st = Fiber_rt.Pool.stats pool in
+  Fiber_rt.Pool.shutdown pool;
   Format.printf "wall-clock run: completed=%d preemptions=%d (timer domain delivered them)@."
-    wall_stats.Fiber_rt.Round_robin.completed wall_stats.Fiber_rt.Round_robin.preemptions
+    (Array.fold_left ( + ) 0 st.Fiber_rt.Pool.executed)
+    st.Fiber_rt.Pool.preemptions

@@ -2,8 +2,8 @@
     and the command-line tools ([lpctl], [lpbench_check]).
 
     This is the single home for environment-variable parsing in the
-    repository: tools read knobs such as [LP_TRACE_OUT] (Perfetto trace
-    destination) and [LP_POOL_TRACE] (sweep-pool occupancy tracing)
+    repository: tools read knobs such as [LP_BENCH_CSV] (CSV output
+    directory) and [LP_POOL_TRACE] (sweep-pool occupancy tracing)
     through {!getenv_nonempty} so that an empty value and an unset
     variable behave identically. *)
 

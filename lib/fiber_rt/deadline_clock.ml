@@ -13,5 +13,3 @@ let advance t d =
   | Virtual cell ->
     if d < 0 then invalid_arg "Deadline_clock.advance: negative amount";
     ignore (Atomic.fetch_and_add cell d)
-
-let is_virtual = function Wall -> false | Virtual _ -> true

@@ -18,5 +18,3 @@ val now_ns : t -> int
 val advance : t -> int -> unit
 (** Move a virtual clock forward. Raises [Invalid_argument] on a wall
     clock or negative amount. *)
-
-val is_virtual : t -> bool

@@ -1,6 +1,6 @@
 type _ Effect.t += Yield : unit Effect.t | Sleep_until : int -> unit Effect.t
 
-type timer_mode = Inline | Timer_domain | External
+type timer_mode = Inline | External
 
 type t = {
   clk : Deadline_clock.t;
@@ -8,8 +8,6 @@ type t = {
   flag : bool Atomic.t;
   mutable quantum : int;
   timer : timer_mode;
-  mutable timer_domain : unit Domain.t option;
-  alive : bool Atomic.t;
   mutable in_fn : bool;
   mutable on_preempt : unit -> unit;
   mutable total_preemptions : int;
@@ -30,64 +28,20 @@ type 'a fn = {
   fn_quantum : int option;
 }
 
-(* The dedicated timer domain dozes when disarmed and sleeps toward a
-   far deadline (capped so shutdown stays prompt), spinning only inside
-   the last stretch for precision — a pure busy loop would starve the
-   worker on small machines. *)
-let doze_s = 50e-6
-let max_sleep_s = 200e-6
-let spin_window_ns = 100_000
-
-let timer_loop t () =
-  while Atomic.get t.alive do
-    let d = Atomic.get t.deadline in
-    if d = 0 then Unix.sleepf doze_s
-    else begin
-      let now = Deadline_clock.now_ns t.clk in
-      if now >= d then begin
-        (* One store into the worker's flag — the SENDUIPI analogue. *)
-        Atomic.set t.deadline 0;
-        Atomic.set t.flag true
-      end
-      else if d - now > spin_window_ns then
-        Unix.sleepf (Float.min max_sleep_s (float_of_int (d - now - spin_window_ns) *. 1e-9))
-      else Domain.cpu_relax ()
-    end
-  done
-
 let create ?(quantum_ns = 1_000_000) ?(timer = Inline) ?trace ~clock () =
   if quantum_ns <= 0 then invalid_arg "Fiber.create: quantum must be positive";
-  if timer = Timer_domain && Deadline_clock.is_virtual clock then
-    invalid_arg "Fiber.create: a timer domain cannot watch a virtual clock";
-  let t =
-    {
-      clk = clock;
-      deadline = Atomic.make 0;
-      flag = Atomic.make false;
-      quantum = quantum_ns;
-      timer;
-      timer_domain = None;
-      alive = Atomic.make true;
-      in_fn = false;
-      on_preempt = ignore;
-      total_preemptions = 0;
-      trace;
-    }
-  in
-  if timer = Timer_domain then t.timer_domain <- Some (Domain.spawn (timer_loop t));
-  t
+  {
+    clk = clock;
+    deadline = Atomic.make 0;
+    flag = Atomic.make false;
+    quantum = quantum_ns;
+    timer;
+    in_fn = false;
+    on_preempt = ignore;
+    total_preemptions = 0;
+    trace;
+  }
 
-let shutdown t =
-  if Atomic.get t.alive then begin
-    Atomic.set t.alive false;
-    match t.timer_domain with
-    | Some d ->
-      Domain.join d;
-      t.timer_domain <- None
-    | None -> ()
-  end
-
-let alive t = Atomic.get t.alive
 let clock t = t.clk
 let quantum_ns t = t.quantum
 
@@ -196,7 +150,7 @@ let checkpoint t =
       | Inline ->
         let d = Atomic.get t.deadline in
         d <> 0 && Deadline_clock.now_ns t.clk >= d
-      | Timer_domain | External -> Atomic.get t.flag
+      | External -> Atomic.get t.flag
     in
     if fire then begin
       disarm t;

@@ -13,13 +13,14 @@
     runtime allows: before resuming a function the scheduler arms a
     {e deadline slot} (an [Atomic] cell standing for the 64-byte
     deadline line); a timer — either the polling {!checkpoint} itself
-    ([`Inline]) or a dedicated timer domain ([`Timer_domain], the analogue
-    of the dedicated timer core) — raises the preempt flag when the
-    deadline passes; the function observes the flag at its next
-    {!checkpoint} (safepoint) and yields.  OCaml cannot take a true
-    asynchronous interrupt mid-instruction, so safepoints substitute for
-    hardware delivery; the DESIGN.md substitution table discusses why
-    this preserves the scheduling semantics. *)
+    ([Inline]) or an outside watcher such as [Pool]'s shared timer
+    domain ([External], the analogue of the dedicated timer core) —
+    raises the preempt flag when the deadline passes; the function
+    observes the flag at its next {!checkpoint} (safepoint) and yields.
+    OCaml cannot take a true asynchronous interrupt mid-instruction, so
+    safepoints substitute for hardware delivery; the DESIGN.md
+    substitution table discusses why this preserves the scheduling
+    semantics.  A runtime spawns no domain of its own. *)
 
 type t
 (** A runtime instance: one scheduler thread's deadline slot, preempt
@@ -30,14 +31,11 @@ type 'a fn
 
 type timer_mode =
   | Inline  (** checkpoints compare the clock to the deadline themselves *)
-  | Timer_domain
-      (** a dedicated domain polls the deadline slot and raises the
-          flag — the LibUtimer split; requires a wall clock *)
   | External
       (** some other party (a pool's shared timer domain, or a test)
-        watches the slot via {!poll_slot}; checkpoints only read the
-        flag.  This is the multi-runtime LibUtimer shape: one timer
-        core arming N deadline slots. *)
+          watches the slot via {!poll_slot}; checkpoints only read the
+          flag.  This is the LibUtimer shape: one timer core arming N
+          deadline slots. *)
 
 val create :
   ?quantum_ns:int ->
@@ -46,26 +44,15 @@ val create :
   clock:Deadline_clock.t ->
   unit ->
   t
-(** Default quantum 1 ms, timer [Inline]. [Timer_domain] with a virtual
-    clock raises [Invalid_argument] (nothing would advance it).
+(** Default quantum 1 ms, timer [Inline].
 
     When [trace] is supplied (built on the same clock — pass
     [Deadline_clock.now_ns clock] as its clock closure), the runtime
     emits {!Obs.Trace.cat.Fiber} instants on track 0: ["fiber.arm"]
     (arg = slice ns) per armed slice, ["fiber.preempt"] (arg = running
     preemption count) per involuntary switch, and ["fiber.yield"] per
-    cooperative yield.  Only worker-side paths emit, so the timer
-    domain never touches the ring. *)
-
-val shutdown : t -> unit
-(** Stop the timer domain if any. Idempotent — a second call (or a
-    call racing the first) is a no-op.  Functions suspended at shutdown
-    time may still be resumed; with no timer left to raise the flag a
-    [Timer_domain]/[External] runtime simply never preempts them again,
-    so they run to completion. *)
-
-val alive : t -> bool
-(** [false] once {!shutdown} ran. *)
+    cooperative yield.  Only worker-side paths emit, so an [External]
+    watcher never touches the ring. *)
 
 val clock : t -> Deadline_clock.t
 
@@ -109,8 +96,8 @@ val poll_slot : t -> now_ns:int -> bool
 (** Fire the deadline slot if armed and expired at [now_ns]: disarm it
     and raise the preempt flag, returning [true].  This is what an
     [External] watcher calls — one shared timer domain sweeping N
-    runtimes' slots.  Also usable against [Inline]/[Timer_domain]
-    runtimes in tests. *)
+    runtimes' slots.  Also usable against [Inline] runtimes in
+    tests. *)
 
 val deadline_ns : t -> int
 (** Current armed absolute deadline, 0 when disarmed — lets an external

@@ -7,9 +7,9 @@
 
      inbox (fresh arrivals, FIFO)          — fresh-first, so short new
      own LC deque -> own BE deque            requests are not stuck
-     steal LC from all victims               behind parked long ones
-     steal BE from all victims               (same policy Request_sched
-                                             validates single-domain)
+     steal LC from all victims               behind preempted long ones
+     steal BE from all victims               (the paper's Sec V-C
+                                             FCFS-with-preemption policy)
 
    Preempted fibers go back on their owner's deque (LIFO: cache-warm);
    idle workers steal from the top (FIFO: oldest first), scanning every
@@ -315,15 +315,22 @@ let stats t =
   }
 
 let shutdown t =
-  if not (Atomic.get t.stop) then begin
-    Atomic.set t.stop true;
+  if not (Atomic.exchange t.stop true) then begin
     Mutex.lock t.m;
     Condition.broadcast t.work_c;
-    Condition.broadcast t.drain_c;
     Mutex.unlock t.m;
     List.iter Domain.join t.domains;
     t.domains <- [];
     Option.iter Domain.join t.timer_dom;
     t.timer_dom <- None;
-    Array.iter (fun w -> Fiber.shutdown w.rt) t.workers
+    (* Workers leave only once no queued or preempted job is left, so
+       whatever is still in flight sleeps in [sleep_ns] (or reached the
+       inbox after the last worker left).  Abandon it, so that [drain]
+       cannot wait for a wake-up that no domain will deliver. *)
+    Mutex.lock t.m;
+    t.parked <- [];
+    Queue.clear t.inbox;
+    t.inflight <- 0;
+    Condition.broadcast t.drain_c;
+    Mutex.unlock t.m
   end

@@ -55,7 +55,8 @@ val sleep_ns : int -> unit
     called off a pool worker. *)
 
 val drain : t -> unit
-(** Wait until every submitted job has completed (or failed). *)
+(** Wait until every submitted job has completed (or failed).  On a
+    pool that is shut down it returns at once (see {!shutdown}). *)
 
 val stats : t -> stats
 
@@ -66,6 +67,8 @@ val clock : t -> Deadline_clock.t
 (** The pool's wall clock. *)
 
 val shutdown : t -> unit
-(** Stop and join all domains.  Idempotent.  Call {!drain} first if
-    pending work must finish; jobs still parked or queued at shutdown
-    are abandoned. *)
+(** Stop and join all domains.  Idempotent.  Queued and preempted jobs
+    run to completion before it returns; only jobs parked in
+    {!sleep_ns} are abandoned (they never run again and are no longer
+    awaited by {!drain}).  Call {!drain} first if sleeping jobs must
+    finish. *)

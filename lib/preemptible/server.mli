@@ -112,7 +112,7 @@ type probes = {
   on_tick : Telemetry.frame -> unit;
       (** fired at every telemetry tick (only when
           {!config.telemetry} is set) — the live feed behind
-          [lpctl top] *)
+          [lpctl run --top] *)
 }
 
 val no_probes : probes

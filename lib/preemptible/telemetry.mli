@@ -22,7 +22,7 @@
       is advanced from the cores' cumulative busy/stall clocks plus the
       explicit transition costs the server reports;
     + a {!frame} is handed to the [on_tick] probe — the feed behind
-      [lpctl top].
+      [lpctl run --top].
 
     The audit trail records one entry per stats window: the window
     statistics Algorithm 1 saw and the quantum it answered with. *)

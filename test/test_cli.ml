@@ -60,7 +60,16 @@ let test_rejections () =
     ];
   (* An existing path that cannot be read as a file. *)
   expect_rejected [ "run"; Filename.current_dir_name ];
-  expect_rejected [ "run"; "dur=5ms"; "-s"; "quantum=bogus" ]
+  expect_rejected [ "run"; "dur=5ms"; "-s"; "quantum=bogus" ];
+  (* Valid specs whose run measures no completion (10 rps for 20 ms). *)
+  let idle = "workers=1; src=exp:1ms; arrival=poisson:10; dur=20ms" in
+  List.iter expect_rejected
+    [
+      [ "run"; idle ];
+      [ "run"; idle ^ "; fleet={n=2}" ];
+      [ "run"; idle ^ "; sys=shinjuku" ];
+      [ "run"; "workers=1; quantum=500us; src=exp:1ms; arrival=poisson:10; dur=20ms"; "--rt" ];
+    ]
 
 let test_modes_need_one_lp_server () =
   (* A rejected mode fails before simulating, so it writes no file. *)

@@ -20,7 +20,16 @@ let worker clock rt ~units ~step () =
   done;
   units * step
 
-let worker_unit clock rt ~units ~step () = ignore (worker clock rt ~units ~step () : int)
+(* The paper's Fig 7 loop over the public API: launch every thunk, then
+   resume the unfinished ones round-robin until all complete.  Returns
+   the number of completed functions and their total preemptions. *)
+let round_robin rt thunks =
+  let fns = List.map (fun f -> F.fn_launch rt f) thunks in
+  while List.exists (fun fn -> not (F.fn_completed fn)) fns do
+    List.iter (fun fn -> if not (F.fn_completed fn) then F.fn_resume fn) fns
+  done;
+  ( List.length (List.filter F.fn_completed fns),
+    List.fold_left (fun acc fn -> acc + F.preempt_count fn) 0 fns )
 
 let test_completes_within_quantum () =
   let clock, rt = make () in
@@ -49,8 +58,8 @@ let test_deterministic_slicing () =
       ignore (worker clock rt ~units ~step:400 ());
       order := name :: !order
     in
-    let stats = Fiber_rt.Round_robin.run rt [ task "a" 10; task "b" 3; task "c" 5 ] in
-    (List.rev !order, stats.Fiber_rt.Round_robin.preemptions)
+    let _, preemptions = round_robin rt [ task "a" 10; task "b" 3; task "c" 5 ] in
+    (List.rev !order, preemptions)
   in
   let o1, p1 = run () and o2, p2 = run () in
   Alcotest.(check (list string)) "same interleaving" o1 o2;
@@ -127,34 +136,11 @@ let test_virtual_clock_rules () =
   check_bool "wall ticks" true (Clock.now_ns wall > 0);
   Alcotest.check_raises "cannot advance wall"
     (Invalid_argument "Deadline_clock.advance: cannot advance the wall clock") (fun () ->
-      Clock.advance wall 1);
-  Alcotest.check_raises "timer domain needs wall clock"
-    (Invalid_argument "Fiber.create: a timer domain cannot watch a virtual clock") (fun () ->
-      ignore (F.create ~timer:F.Timer_domain ~clock:(Clock.virtual_ ()) ()))
-
-let test_timer_domain_preempts_wall_clock () =
-  (* Real time, real domain. On a single-CPU host the timer domain only
-     runs when the kernel schedules it, so just require that preemption
-     happens at all (the paper dedicates a core to the timer for exactly
-     this reason). *)
-  let rt = F.create ~quantum_ns:1_000_000 ~timer:F.Timer_domain ~clock:(Clock.wall ()) () in
-  let spin () =
-    let stop = Unix.gettimeofday () +. 0.08 in
-    while Unix.gettimeofday () < stop do
-      F.checkpoint rt
-    done
-  in
-  let stats = Fiber_rt.Round_robin.run rt [ spin ] in
-  F.shutdown rt;
-  F.shutdown rt;
-  (* idempotent *)
-  check_int "completed" 1 stats.Fiber_rt.Round_robin.completed;
-  check_bool "was preempted by the timer domain" true
-    (stats.Fiber_rt.Round_robin.preemptions > 0)
+      Clock.advance wall 1)
 
 (* ------------------------------------------------------------------ *)
-(* Edge cases: sub-checkpoint quanta, teardown mid-preempt, cross-     *)
-(* domain flag visibility, lifecycle stress                            *)
+(* Edge cases: sub-checkpoint quanta, cross-domain flag visibility,    *)
+(* lifecycle stress                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_resume_while_running_rejected () =
@@ -191,36 +177,6 @@ let test_quantum_smaller_than_checkpoint_interval () =
   check_bool "one preemption per step" true (F.preempt_count fn >= units);
   check_int "one resume per step" units !resumes
 
-let test_timer_domain_teardown_mid_preempt () =
-  (* Shut the timer domain down while a preempted fiber is suspended
-     mid-flight; the continuation must still be resumable and, with no
-     timer left, runs to completion unpreempted. *)
-  let rt = F.create ~quantum_ns:200_000 ~timer:F.Timer_domain ~clock:(Clock.wall ()) () in
-  let fn =
-    F.fn_launch rt (fun () ->
-        (* Spin (checkpointing) until the timer preempts this slice, or
-           a 2 s safety deadline expires on a pathologically loaded
-           host. *)
-        let deadline = Unix.gettimeofday () +. 2.0 in
-        let preempts0 = F.preemptions rt in
-        while F.preemptions rt = preempts0 && Unix.gettimeofday () < deadline do
-          F.checkpoint rt
-        done)
-  in
-  if not (F.fn_completed fn) then begin
-    (* Suspended mid-preempt: tear the timer down NOW. *)
-    F.shutdown rt;
-    F.shutdown rt;
-    check_bool "dead after shutdown" false (F.alive rt);
-    F.fn_resume fn;
-    check_bool "completed after teardown" true (F.fn_completed fn)
-  end
-  else
-    (* The 2 s safety deadline expired without a preemption (massively
-       loaded host) — still exercise double shutdown. *)
-    F.shutdown rt;
-  F.shutdown rt
-
 let test_external_flag_visible_across_domains () =
   (* Atomic fence correctness: domain B raises the preempt flag via
      poll_slot; the fiber spinning on domain A must observe it at a
@@ -247,7 +203,6 @@ let test_external_flag_visible_across_domains () =
     Domain.cpu_relax ()
   done;
   let completed, preempts = Domain.join d in
-  F.shutdown rt;
   check_bool "fiber suspended, not completed" false completed;
   check_int "exactly one preemption observed" 1 preempts
 
@@ -268,62 +223,21 @@ let test_sleep_until_blocked_until () =
     (Invalid_argument "Fiber.sleep_until: no function is running") (fun () ->
       F.sleep_until rt ~wake_ns:1)
 
-let test_lifecycle_stress_100_runtimes () =
-  (* create/shutdown must be leak-free and idempotent under repetition:
-     100 timer-domain runtimes, each runs one fiber, double-shutdown. *)
+let test_lifecycle_stress_100_pools () =
+  (* Pool create/shutdown must be leak-free and idempotent under
+     repetition: 100 one-worker pools in sequence, each runs one job,
+     then a double shutdown.  Each pool joins its worker and timer
+     domains before the next is created, so at most two pool domains
+     are alive at any time. *)
   for i = 1 to 100 do
-    let rt = F.create ~quantum_ns:1_000_000 ~timer:F.Timer_domain ~clock:(Clock.wall ()) () in
-    let fn = F.fn_launch rt (fun () -> i * 2) in
-    Alcotest.(check (option int)) "fiber ran" (Some (i * 2)) (F.result fn);
-    F.shutdown rt;
-    F.shutdown rt;
-    check_bool "dead" false (F.alive rt)
+    let pool = Fiber_rt.Pool.create ~workers:1 () in
+    let r = Atomic.make 0 in
+    Fiber_rt.Pool.submit pool (fun () -> Atomic.set r (i * 2));
+    Fiber_rt.Pool.drain pool;
+    Fiber_rt.Pool.shutdown pool;
+    Fiber_rt.Pool.shutdown pool;
+    check_int "job ran" (i * 2) (Atomic.get r)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Request_sched: the FCFS-with-preemption policy over real fibers     *)
-(* ------------------------------------------------------------------ *)
-
-let test_request_sched_hol_removal () =
-  let clock, rt = make ~quantum:1_000 () in
-  let sched = Fiber_rt.Request_sched.create rt in
-  let order = ref [] in
-  let request name units () =
-    ignore (worker clock rt ~units ~step:300 ());
-    order := name :: !order
-  in
-  let long = Fiber_rt.Request_sched.submit sched (request "long" 50) in
-  let short = Fiber_rt.Request_sched.submit sched (request "short" 2) in
-  let stats = Fiber_rt.Request_sched.run_until_idle sched in
-  check_int "both completed" 2 stats.Fiber_rt.Request_sched.completed;
-  Alcotest.(check (list string)) "short escaped HoL" [ "short"; "long" ] (List.rev !order);
-  check_bool "long was preempted" true (Fiber_rt.Request_sched.preempt_count long >= 1);
-  check_int "short never preempted" 0 (Fiber_rt.Request_sched.preempt_count short);
-  check_bool "both report completed" true
-    (Fiber_rt.Request_sched.completed long && Fiber_rt.Request_sched.completed short)
-
-let test_request_sched_nested_submit () =
-  let clock, rt = make ~quantum:10_000 () in
-  let sched = Fiber_rt.Request_sched.create rt in
-  let child_ran = ref false in
-  ignore
-    (Fiber_rt.Request_sched.submit sched (fun () ->
-         Clock.advance clock 100;
-         ignore
-           (Fiber_rt.Request_sched.submit sched (fun () -> child_ran := true))));
-  let stats = Fiber_rt.Request_sched.run_until_idle sched in
-  check_int "parent and child completed" 2 stats.Fiber_rt.Request_sched.completed;
-  check_bool "child ran" true !child_ran
-
-let test_request_sched_per_request_quantum () =
-  let clock, rt = make ~quantum:1_000_000 () in
-  let sched = Fiber_rt.Request_sched.create rt in
-  let tight =
-    Fiber_rt.Request_sched.submit sched ~quantum_ns:500 (worker_unit clock rt ~units:10 ~step:300)
-  in
-  let stats = Fiber_rt.Request_sched.run_until_idle sched in
-  check_int "completed" 1 stats.Fiber_rt.Request_sched.completed;
-  check_bool "tight quantum preempted it" true (Fiber_rt.Request_sched.preempt_count tight >= 1)
 
 let round_robin_property =
   QCheck.Test.make ~name:"round robin completes every fiber exactly once" ~count:30
@@ -338,9 +252,8 @@ let round_robin_property =
             incr done_count)
           sizes
       in
-      let stats = Fiber_rt.Round_robin.run rt tasks in
-      stats.Fiber_rt.Round_robin.completed = List.length sizes
-      && !done_count = List.length sizes)
+      let completed, _ = round_robin rt tasks in
+      completed = List.length sizes && !done_count = List.length sizes)
 
 let suites =
   [
@@ -358,13 +271,10 @@ let suites =
         Alcotest.test_case "set_quantum" `Quick test_set_quantum;
         Alcotest.test_case "per-fn quantum" `Quick test_per_fn_quantum;
         Alcotest.test_case "clock rules" `Quick test_virtual_clock_rules;
-        Alcotest.test_case "timer domain (wall)" `Slow test_timer_domain_preempts_wall_clock;
         Alcotest.test_case "resume while running rejected" `Quick
           test_resume_while_running_rejected;
         Alcotest.test_case "quantum below checkpoint interval" `Quick
           test_quantum_smaller_than_checkpoint_interval;
-        Alcotest.test_case "timer teardown mid-preempt" `Slow
-          test_timer_domain_teardown_mid_preempt;
         Alcotest.test_case "preempt flag visible across domains" `Slow
           test_external_flag_visible_across_domains;
         Alcotest.test_case "poll_slot on a disarmed slot" `Quick
@@ -372,11 +282,7 @@ let suites =
         Alcotest.test_case "sleep_until records wake time" `Quick
           test_sleep_until_blocked_until;
         Alcotest.test_case "100-runtime create/shutdown stress" `Slow
-          test_lifecycle_stress_100_runtimes;
-        Alcotest.test_case "request_sched HoL removal" `Quick test_request_sched_hol_removal;
-        Alcotest.test_case "request_sched nested submit" `Quick test_request_sched_nested_submit;
-        Alcotest.test_case "request_sched per-request quantum" `Quick
-          test_request_sched_per_request_quantum;
+          test_lifecycle_stress_100_pools;
         QCheck_alcotest.to_alcotest round_robin_property;
       ] );
   ]

@@ -97,6 +97,107 @@ let test_sleep_off_pool_rejected () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+let executed (st : Pool.stats) = Array.fold_left ( + ) 0 st.Pool.executed
+
+(* Checkpointed spinning for [s] seconds of wall time, or until [until]
+   holds. *)
+let spin ?(until = fun () -> false) s =
+  let stop = Unix.gettimeofday () +. s in
+  while (not (until ())) && Unix.gettimeofday () < stop do
+    Pool.checkpoint ()
+  done
+
+(* Fresh-first: on one worker, a job submitted while a long job runs
+   must not wait for the long one.  The long job spins until the short
+   one has finished, so it ends early only if the timer preempted it
+   and the worker took the fresh inbox job before resuming it; a 2 s
+   safety deadline bounds it on a pathologically loaded host. *)
+let test_fresh_job_escapes_hol () =
+  let pool = Pool.create ~quantum_ns:200_000 ~workers:1 () in
+  let started = Atomic.make false and short_done = Atomic.make false in
+  let order = ref [] (* appended on the single worker domain only *) in
+  let long_saw_short = ref false in
+  Pool.submit pool (fun () ->
+      Atomic.set started true;
+      spin 2.0 ~until:(fun () -> Atomic.get short_done);
+      long_saw_short := Atomic.get short_done;
+      order := "long" :: !order);
+  while not (Atomic.get started) do
+    Unix.sleepf 1e-4
+  done;
+  Pool.submit pool (fun () ->
+      order := "short" :: !order;
+      Atomic.set short_done true);
+  Pool.drain pool;
+  let st = Pool.stats pool in
+  Pool.shutdown pool;
+  Alcotest.(check (list string)) "short escaped HoL" [ "short"; "long" ] (List.rev !order);
+  check_bool "long job ended because the short one finished" true !long_saw_short;
+  check_bool "long job was preempted" true (st.Pool.preemptions >= 1);
+  check_int "both executed" 2 (executed st)
+
+let test_nested_submit () =
+  let pool = Pool.create ~workers:2 () in
+  let child_ran = Atomic.make false in
+  Pool.submit pool (fun () -> Pool.submit pool (fun () -> Atomic.set child_ran true));
+  Pool.drain pool;
+  let st = Pool.stats pool in
+  Pool.shutdown pool;
+  check_bool "child ran before drain returned" true (Atomic.get child_ran);
+  check_int "parent and child executed" 2 (executed st)
+
+let test_per_job_quantum () =
+  let pool = Pool.create ~workers:1 () in
+  Pool.submit pool ~quantum_ns:200_000 (fun () -> spin 0.020);
+  Pool.drain pool;
+  let st = Pool.stats pool in
+  Pool.shutdown pool;
+  check_bool "per-job quantum preempted it" true (st.Pool.preemptions >= 1)
+
+(* Shutdown with work still queued: five 10 ms checkpointing jobs on
+   one worker with a 1 ms quantum, shut down at once.  Every job still
+   runs to completion, including the ones preempted mid-flight. *)
+let test_shutdown_runs_queued_jobs () =
+  let pool = Pool.create ~quantum_ns:1_000_000 ~workers:1 () in
+  let finished = Atomic.make 0 in
+  for _ = 1 to 5 do
+    Pool.submit pool (fun () ->
+        spin 0.010;
+        Atomic.incr finished)
+  done;
+  Pool.shutdown pool;
+  check_int "every queued job finished" 5 (Atomic.get finished);
+  check_int "every queued job counted" 5 (executed (Pool.stats pool))
+
+(* A job parked in sleep_ns at shutdown is abandoned, and drain must
+   then return, whether it started before or after the shutdown.  Each
+   drain runs on its own domain, so a regression fails the test after
+   1 s instead of hanging the suite. *)
+let test_drain_after_shutdown_returns () =
+  let pool = Pool.create ~workers:1 () in
+  Pool.submit pool (fun () -> Pool.sleep_ns 500_000_000);
+  let drain_in_domain () =
+    let returned = Atomic.make false in
+    ignore
+      (Domain.spawn (fun () ->
+           Pool.drain pool;
+           Atomic.set returned true));
+    returned
+  in
+  let returns_within_1s returned =
+    let deadline = Unix.gettimeofday () +. 1.0 in
+    while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 1e-3
+    done;
+    Atomic.get returned
+  in
+  let before = drain_in_domain () in
+  Unix.sleepf 0.050;
+  Pool.shutdown pool;
+  check_bool "drain started before shutdown returns" true (returns_within_1s before);
+  check_bool "drain after shutdown returns" true (returns_within_1s (drain_in_domain ()));
+  check_int "the sleeping job was abandoned" 0 (executed (Pool.stats pool))
+
 (* ------------------------------------------------------------------ *)
 (* Sched: schedule replay                                              *)
 (* ------------------------------------------------------------------ *)
@@ -199,6 +300,13 @@ let suites =
           test_sleep_parks_fiber;
         Alcotest.test_case "sleep_ns off the pool raises" `Quick
           test_sleep_off_pool_rejected;
+        Alcotest.test_case "fresh job escapes head-of-line blocking" `Quick
+          test_fresh_job_escapes_hol;
+        Alcotest.test_case "nested submit drains both" `Quick test_nested_submit;
+        Alcotest.test_case "per-job quantum preempts" `Quick test_per_job_quantum;
+        Alcotest.test_case "shutdown runs queued jobs" `Quick test_shutdown_runs_queued_jobs;
+        Alcotest.test_case "drain after shutdown returns" `Quick
+          test_drain_after_shutdown_returns;
       ] );
     ( "rt_sched",
       [
