@@ -1,14 +1,14 @@
 (* Ablations for the design choices called out in DESIGN.md:
    AB1 — LibUtimer linear scan vs timing wheel at large slot counts;
    AB2 — Algorithm 1 step-size (k) sensitivity on workload C;
-   AB3 — timer-core poll interval. *)
+   AB3 — timer-core poll interval;
+   AB4 — queue disciplines and SLO cancellation;
+   AB5 — hardware timer offload. *)
 
-let us = Bench_util.us
-let ms = Bench_util.ms
+let us = Engine.Units.us
+let ms = Engine.Units.ms
 
-(* AB1: arm N slots periodically and measure firing lateness; the
-   linear scan's per-iteration cost grows with N, the wheel's does
-   not. *)
+(* AB1: arm N slots periodically and measure firing lateness. *)
 let ab1_one ~scan ~slots =
   let sim = Engine.Sim.create () in
   let hw = { Hw.Params.default with Hw.Params.uitt_size = 16_384 } in
@@ -50,225 +50,120 @@ let ab1_one ~scan ~slots =
 
 let ab1 ~jobs () =
   Format.printf "@.AB1: LibUtimer scan strategy — firing lateness (us) vs armed slots@.";
-  Format.printf "%8s %16s %16s@." "slots" "linear mean/p99" "wheel mean/p99";
-  let slot_counts = [ 16; 64; 256; 1024; 4096 ] in
-  let specs =
-    List.concat_map (fun slots -> [ (`Linear, slots); (`Wheel, slots) ]) slot_counts
-  in
-  let results =
-    Bench_util.sweep ~label:"ab1" ~jobs (fun (scan, slots) -> ab1_one ~scan ~slots) specs
-  in
-  let by_key = Hashtbl.create 16 in
-  List.iter2 (fun spec r -> Hashtbl.replace by_key spec r) specs results;
-  List.iter
-    (fun slots ->
-      let l = Hashtbl.find by_key (`Linear, slots) in
-      let w = Hashtbl.find by_key (`Wheel, slots) in
-      List.iter
-        (fun (scan_name, (r : Stat.Summary.report)) ->
-          Bench_report.point ~fig:"ab1"
-            ~labels:[ ("scan", scan_name); ("slots", string_of_int slots) ]
-            ~metrics:
-              [
-                ("mean_us", r.Stat.Summary.mean /. 1e3); ("p99_us", r.Stat.Summary.p99 /. 1e3);
-              ])
-        [ ("linear", l); ("wheel", w) ];
-      Format.printf "%8d %7.2f / %6.2f %7.2f / %6.2f@." slots
-        (l.Stat.Summary.mean /. 1e3) (l.Stat.Summary.p99 /. 1e3)
-        (w.Stat.Summary.mean /. 1e3) (w.Stat.Summary.p99 /. 1e3))
-    slot_counts;
+  ignore
+    (Bench_util.points ~jobs ~name:"ab1"
+       ~metrics:
+         [
+           ("mean_us", fun (r : Stat.Summary.report) -> r.Stat.Summary.mean /. 1e3);
+           ("p99_us", fun r -> r.Stat.Summary.p99 /. 1e3);
+         ]
+       (fun _ (scan, slots) -> ab1_one ~scan ~slots)
+       (List.concat_map
+          (fun slots ->
+            List.map
+              (fun (name, scan) ->
+                ([ ("scan", name); ("slots", string_of_int slots) ], (scan, slots)))
+              [ ("linear", `Linear); ("wheel", `Wheel) ])
+          [ 16; 64; 256; 1024; 4096 ]));
   Format.printf
     "(the wheel's lateness stays near the poll period as slot counts grow; the\n\
     \ linear scan's grows with the scan cost — the paper's 'timing wheel' opt-in)@."
 
-(* AB2: Algorithm 1 k-step sensitivity on workload C.  The controller
-   holds mutable state, so each sweep task builds its own. *)
-let ab2_one k =
-  let duration = ms 200 in
-  let dist = Workload.Service_dist.workload_c ~duration_ns:duration in
-  let controller =
-    Preemptible.Quantum_controller.create
-      ~config:
-        {
-          Preemptible.Quantum_controller.default_config with
-          Preemptible.Quantum_controller.k1_ns = k;
-          k2_ns = k;
-          k3_ns = k;
-        }
-      ~max_load_per_s:1_300_000.0 ~initial_quantum_ns:(us 40) ()
-  in
-  let cfg =
-    Preemptible.Server.default_config ~n_workers:4
-      ~policy:(Preemptible.Policy.adaptive controller)
-      ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-  in
-  let cfg = { cfg with Preemptible.Server.stats_window_ns = ms 10 } in
-  Preemptible.Server.run ~warmup_ns:(ms 20) cfg
-    ~arrival:(Workload.Arrival.poisson ~rate_per_sec:900_000.0)
-    ~source:(Bench_util.lc_source dist) ~duration_ns:duration
+(* AB2–AB5 run one server; the knobs the scenario language has no field
+   for (poll interval, hardware offload) are set by the figure's run. *)
+let ablation name ~base axis metrics run =
+  {
+    Figure.name = name;
+    base;
+    axes = [ axis ];
+    run;
+    metrics = List.map Figure.server_metric metrics;
+    expected = "";
+  }
 
-let ab2 ~jobs () =
-  Format.printf "@.AB2: adaptive controller step size (k1=k2=k3) on workload C@.";
-  Format.printf "%10s %12s %14s@." "k (us)" "p99 (us)" "preemptions";
-  let ks = [ us 2; us 8; us 20 ] in
-  let results = Bench_util.sweep ~label:"ab2" ~jobs ab2_one ks in
-  List.iter2
-    (fun k r ->
-      Bench_report.point ~fig:"ab2"
-        ~labels:[ ("k_us", string_of_int (k / 1000)) ]
-        ~metrics:
-          [
-            ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-            ("preemptions", float_of_int r.Preemptible.Server.preemptions);
-          ];
-      Format.printf "%10d %12.1f %14d@." (k / 1000)
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
-        r.Preemptible.Server.preemptions)
-    ks results
+let run_server _ spec = Scenario.run_server spec
+
+(* AB2: Algorithm 1 k-step sensitivity on workload C. *)
+let ab2 =
+  ablation "ab2"
+    ~base:
+      "workers=4; src=c; arrival=poisson:900000; dur=200ms; warmup=20ms; window=10ms; \
+       quantum=adaptive:40us; maxload=1300000"
+    (Figure.axis "k_us"
+       (List.map
+          (fun k -> (string_of_int k, Printf.sprintf "ctl={k1=%dus;k2=%dus;k3=%dus}" k k k))
+          [ 2; 8; 20 ]))
+    [ "p99_us"; "preemptions" ] run_server
 
 (* AB3: poll interval of the timer core. *)
-let ab3_one poll =
-  let cfg =
-    Preemptible.Server.default_config ~n_workers:4
-      ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us 5))
-      ~mechanism:
-        (Preemptible.Server.Uintr_utimer { Utimer.default_config with Utimer.poll_ns = poll })
-  in
-  Preemptible.Server.run ~warmup_ns:(ms 10) cfg
-    ~arrival:(Workload.Arrival.poisson ~rate_per_sec:1_000_000.0)
-    ~source:(Bench_util.lc_source Workload.Service_dist.workload_a1)
-    ~duration_ns:(ms 80)
+let ab3 =
+  ablation "ab3"
+    ~base:"workers=4; quantum=5us; src=a1; arrival=poisson:1000000; dur=80ms; warmup=10ms"
+    (Figure.axis "poll_ns" (List.map (fun p -> (string_of_int p, "")) [ 100; 500; 2_000; 10_000 ]))
+    [ "p99_us"; "preemptions" ]
+    (fun l spec ->
+      let poll_ns = int_of_string (Bench_util.label "poll_ns" l) in
+      Bench_util.run_with spec (fun cfg ->
+          {
+            cfg with
+            Preemptible.Server.mechanism =
+              Preemptible.Server.Uintr_utimer { Utimer.default_config with Utimer.poll_ns };
+          }))
 
-let ab3 ~jobs () =
+(* AB4: queue disciplines and SLO cancellation on workload A1; one
+   worker so the local queue actually builds depth — with JSQ across
+   several workers the disciplines rarely see a choice. *)
+let ab4 =
+  ablation "ab4"
+    ~base:"workers=1; quantum=5us; src=a1; arrival=poisson:0.8x; dur=80ms; warmup=10ms"
+    (Figure.axis "variant"
+       [
+         ("FCFS-P (paper default)", "discipline=fifo");
+         ("SRPT oracle", "discipline=srpt");
+         ("EDF (slo=1ms)", "discipline=edf:1ms");
+         ("FCFS-P + cancel(>2ms)", "discipline=fifo; cancel=2ms");
+       ])
+    [ "p50_us"; "p99_us"; "p999_us"; "cancelled" ] run_server
+
+(* AB5: Sec VII-C hardware offload — the timer core's worth.  Same
+   total core budget: 5 cores = 4 workers + timer core, or 5 workers
+   with the hardware comparators; both face the same offered rate
+   (~94% of the 4-worker configuration's capacity). *)
+let offload = "hw offload (5 workers, comparators)"
+
+let ab5 =
+  ablation "ab5" ~base:"quantum=5us; src=a1; arrival=poisson:1250000; dur=80ms; warmup=10ms"
+    (Figure.axis "variant"
+       [ ("timer core (4 workers + LibUtimer)", "workers=4"); (offload, "workers=5") ])
+    [ "tput_rps"; "p99_us"; "p999_us"; "preemptions" ]
+    (fun l spec ->
+      Bench_util.run_with spec (fun cfg ->
+          if Bench_util.label "variant" l = offload then
+            { cfg with Preemptible.Server.mechanism = Preemptible.Server.Uintr_hw_offload }
+          else cfg))
+
+let run ~jobs () =
+  Bench_util.header
+    "Ablations (AB1 timing wheel, AB2 controller steps, AB3 poll interval,\n\
+    \     AB4 disciplines/cancellation, AB5 hardware offload)";
+  ab1 ~jobs ();
+  Format.printf "@.AB2: adaptive controller step size (k1=k2=k3) on workload C@.";
+  Bench_util.figure ~jobs ab2;
   Format.printf "@.AB3: timer-core poll interval on workload A1 at 80%% load, q=5us@.";
-  Format.printf "%12s %12s %14s@." "poll (ns)" "p99 (us)" "preemptions";
-  let polls = [ 100; 500; 2_000; 10_000 ] in
-  let results = Bench_util.sweep ~label:"ab3" ~jobs ab3_one polls in
-  List.iter2
-    (fun poll r ->
-      Bench_report.point ~fig:"ab3"
-        ~labels:[ ("poll_ns", string_of_int poll) ]
-        ~metrics:
-          [
-            ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-            ("preemptions", float_of_int r.Preemptible.Server.preemptions);
-          ];
-      Format.printf "%12d %12.1f %14d@." poll
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
-        r.Preemptible.Server.preemptions)
-    polls results
-
-(* AB4: queue disciplines and SLO cancellation on workload A1. *)
-let ab4_one (discipline, cancel) =
-  (* One worker so the local queue actually builds depth — with JSQ
-     across several workers the disciplines rarely see a choice. *)
-  let dist = Workload.Service_dist.workload_a1 in
-  let rate = 0.8 *. (1e9 /. Workload.Service_dist.mean_ns dist ~now:0) in
-  let cfg =
-    Preemptible.Server.default_config ~n_workers:1
-      ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us 5))
-      ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-  in
-  let cfg = { cfg with Preemptible.Server.discipline; cancel_after_slo = cancel } in
-  Preemptible.Server.run ~warmup_ns:(ms 10) cfg
-    ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-    ~source:(Bench_util.lc_source dist) ~duration_ns:(ms 80)
-
-let ab4 ~jobs () =
+  Bench_util.figure ~jobs ab3;
   Format.printf "@.AB4: queue discipline / cancellation on A1, one worker at 80%% load, q=5us@.";
-  let variants =
-    [
-      ("FCFS-P (paper default)", (Preemptible.Server.Fifo, None));
-      ("SRPT oracle", (Preemptible.Server.Srpt_oracle, None));
-      ("EDF (slo=1ms)", (Preemptible.Server.Edf (ms 1), None));
-      ("FCFS-P + cancel(>2ms)", (Preemptible.Server.Fifo, Some (ms 2)));
-    ]
-  in
-  let results =
-    Bench_util.sweep ~label:"ab4" ~jobs (fun (_, spec) -> ab4_one spec) variants
-  in
-  List.iter2
-    (fun (name, _) r ->
-      Bench_report.point ~fig:"ab4"
-        ~labels:[ ("variant", name) ]
-        ~metrics:
-          [
-            ("p50_us", r.Preemptible.Server.all.Stat.Summary.p50 /. 1e3);
-            ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-            ("p999_us", r.Preemptible.Server.all.Stat.Summary.p999 /. 1e3);
-            ("cancelled", float_of_int r.Preemptible.Server.cancelled);
-          ];
-      Format.printf "%-28s p50=%8.2fus p99=%8.1fus p99.9=%9.1fus cancelled=%d@." name
-        (r.Preemptible.Server.all.Stat.Summary.p50 /. 1e3)
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
-        (r.Preemptible.Server.all.Stat.Summary.p999 /. 1e3)
-        r.Preemptible.Server.cancelled)
-    variants results;
+  Bench_util.figure ~jobs ab4;
   Format.printf
-    "(FCFS-with-preemption already approximates SRPT here — exactly the paper's
-    \ argument that preemption removes the need for service-time knowledge;
-    \ cancellation trims the extreme tail by shedding SLO-doomed requests)@."
-
-(* AB5: Sec VII-C hardware offload — the timer core's worth. *)
-let ab5_one (n_workers, mechanism) =
-  let dist = Workload.Service_dist.workload_a1 in
-  let cfg =
-    Preemptible.Server.default_config ~n_workers
-      ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us 5))
-      ~mechanism
-  in
-  (* Same total core budget: 5 cores = 4 workers + timer core, or 5
-     workers with the hardware comparators; both face the same
-     offered rate (~94% of the 4-worker configuration's capacity). *)
-  let rate = 1.25e6 in
-  Preemptible.Server.run ~warmup_ns:(ms 10) cfg
-    ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-    ~source:(Bench_util.lc_source dist) ~duration_ns:(ms 80)
-
-let ab5 ~jobs () =
+    "(FCFS-with-preemption already approximates SRPT here — exactly the paper's\n\
+    \     argument that preemption removes the need for service-time knowledge;\n\
+    \     cancellation trims the extreme tail by shedding SLO-doomed requests)@.";
   Format.printf "@.AB5: hardware timer offload (Sec VII-C) on A1, q=5us@.";
-  let variants =
-    [
-      ( "timer core (4 workers + LibUtimer)",
-        (4, Preemptible.Server.Uintr_utimer Utimer.default_config) );
-      ("hw offload (5 workers, comparators)", (5, Preemptible.Server.Uintr_hw_offload));
-    ]
-  in
-  let results =
-    Bench_util.sweep ~label:"ab5" ~jobs (fun (_, spec) -> ab5_one spec) variants
-  in
-  List.iter2
-    (fun (name, _) r ->
-      Bench_report.point ~fig:"ab5"
-        ~labels:[ ("variant", name) ]
-        ~metrics:
-          [
-            ("tput_rps", r.Preemptible.Server.throughput_rps);
-            ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-            ("p999_us", r.Preemptible.Server.all.Stat.Summary.p999 /. 1e3);
-            ("preemptions", float_of_int r.Preemptible.Server.preemptions);
-          ];
-      Format.printf "%-36s tput=%8.0f/s p99=%7.1fus p99.9=%9.1fus preempt=%d@." name
-        r.Preemptible.Server.throughput_rps
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
-        (r.Preemptible.Server.all.Stat.Summary.p999 /. 1e3)
-        r.Preemptible.Server.preemptions)
-    variants results;
+  Bench_util.figure ~jobs ab5;
   (* The power side of the same trade-off. *)
   let sim = Engine.Sim.create () in
   let fabric = Hw.Uintr.create sim Hw.Params.default in
   let ut = Utimer.create sim ~uintr:fabric () in
   Format.printf
-    "timer-core power: %.1f W (UMWAIT-parked poll loop; Sec V-B measures ~1.2 W);
-     the hardware comparators spend silicon area instead (Sec VII-C)@."
+    "timer-core power: %.1f W (UMWAIT-parked poll loop; Sec V-B measures ~1.2 W);\n\
+    \     the hardware comparators spend silicon area instead (Sec VII-C)@."
     (Utimer.power_watts ut)
-
-let run ~jobs () =
-  Bench_util.header
-    "Ablations (AB1 timing wheel, AB2 controller steps, AB3 poll interval,
-     AB4 disciplines/cancellation, AB5 hardware offload)";
-  ab1 ~jobs ();
-  ab2 ~jobs ();
-  ab3 ~jobs ();
-  ab4 ~jobs ();
-  ab5 ~jobs ()

@@ -1,51 +1,28 @@
 (* bench --crossval: cross-validate the simulator against the real
-   multicore fiber runtime.
+   multicore fiber runtime (DESIGN.md §14).  Each case is ONE scenario
+   spec run by BOTH backends: [Scenario.run_server] (deterministic
+   simulation) and [Scenario.run_rt] (the same samplers and seed,
+   replayed open-loop on real domains under wall time).
 
-   Each case is ONE scenario spec executed by BOTH backends:
+   The clock domains never agree exactly, so agreement is gated on
+   scale-aware statistics:
 
-   - sim:  [Scenario.run_server] — discrete-event simulation,
-           deterministic in the seed.
-   - real: [Scenario.run_rt] — the same spec lowered to a pre-generated
-           schedule (same samplers, same seed) and replayed open-loop
-           on real domains ([Fiber_rt.Sched]) under wall time.
+   - p50 band:    medians within [p50_band]x of each other.
+   - tail shape:  p99/p50 ratios within [tail_band]x, gated only where
+                  the sim's own tail is non-degenerate (a deterministic
+                  spec has sim p99/p50 = 1.0 exactly).
+   - rank order:  Spearman correlation of p99 across a load sweep of
+                  at least [rank_min].
 
-   The two clock domains never agree exactly — the sim charges zero
-   dispatch overhead, the real side pays syscalls, GC and OS jitter —
-   so agreement is gated on scale-aware statistics (DESIGN.md §14):
+   Calibration for a small shared CI container: services are >= 1 ms
+   (the real executor pays ~100-200 us per request), gated cases run
+   workers=1 (a workers=2 case is recorded ungated), and a gated case
+   that misses its band is retried once — the sim side is
+   deterministic, so only host interference can move the verdict.
 
-   - p50 band:    sim and real medians within [p50_band]x of each
-                  other (multiplicative, symmetric).
-   - tail shape:  p99/p50 ratios within [tail_band]x — a scale-free
-                  check that the sim reproduces the *shape* of the
-                  latency distribution, not just its location.  Only
-                  gated where the sim's own tail is non-degenerate: a
-                  deterministic spec has sim p99/p50 = 1.0 exactly,
-                  which no real machine reproduces.
-   - rank order:  Spearman correlation of p99 across a load sweep at
-                  least [rank_min] — turning load up must move both
-                  backends' tails the same way.
-
-   Two calibration rules keep the gates meaningful on a small shared
-   CI container:
-
-   - Service times are >= 1 ms.  The real executor pays a per-request
-     overhead of roughly 100-200 us (dispatcher sleep overshoot,
-     condvar handoff, fiber launch); sub-ms services would let that
-     overhead push a nominally stable load past real capacity, and the
-     comparison would gate the host, not the scheduler.
-   - The gated cases run workers=1 (the container guarantees one
-     core; with more domains than cores the real side measures OS
-     timeslicing).  A workers=2 case is recorded ungated for
-     inspection.
-   - A gated case that misses its band is retried exactly once and
-     the retry's numbers are the ones reported: the sim side is
-     deterministic, so only transient host interference can move the
-     verdict, and a real regression fails both attempts.
-
-   Report points carry sim_*/real_* metric names on purpose: the bare
-   p50_us/p99_us/mean_us names are gated at ±10% across EVERY figure by
-   lpbench_check, which only deterministic simulation output can
-   honour.  What IS gated here are the agreement booleans
+   Report points carry sim_*/real_* metric names so lpbench_check's
+   ±10% gates on the bare p50_us/p99_us/mean_us names never see wall
+   clock; the gated metrics are the agreement booleans
    (crossval:p50_agree, crossval:tail_agree, crossval:rank_corr_ok),
    each 1.0 in the baseline. *)
 
@@ -98,9 +75,7 @@ let metrics_of sim real =
     ("real_tail_ratio", real.tail);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Gated cases: three workload shapes, workers=1                       *)
-(* ------------------------------------------------------------------ *)
+(* Gated cases: three workload shapes, workers=1. *)
 
 type case = {
   cname : string;
@@ -108,36 +83,22 @@ type case = {
   gate_tail : bool;  (** tail band gated (sim tail non-degenerate) *)
 }
 
+let case cname gate_tail text =
+  { cname; gate_tail; ctext = "workers=1; " ^ text ^ "; dur=800ms; warmup=200ms" }
+
 let gated_cases =
   [
-    (* Light deterministic load: little queueing on either side, so the
-       medians sit near the 1 ms service time.  The sim's tail ratio is
-       exactly 1.0 (no randomness at all), so only the p50 is gated. *)
-    {
-      cname = "const_light";
-      ctext =
-        "workers=1; quantum=none; src=const:1ms; arrival=uniform:0.3x; \
-         dur=800ms; warmup=200ms; seed=11";
-      gate_tail = false;
-    };
+    (* Light deterministic load: medians sit near the 1 ms service
+       time; the sim's tail ratio is exactly 1.0, so only the p50 is
+       gated. *)
+    case "const_light" false "quantum=none; src=const:1ms; arrival=uniform:0.3x; seed=11";
     (* Mid-load exponential service under preemption: queueing and
        slicing shape both distributions. *)
-    {
-      cname = "exp_mid";
-      ctext =
-        "workers=1; quantum=500us; src=exp:1ms; arrival=poisson:0.5x; \
-         dur=800ms; warmup=200ms; seed=12";
-      gate_tail = true;
-    };
+    case "exp_mid" true "quantum=500us; src=exp:1ms; arrival=poisson:0.5x; seed=12";
     (* Bimodal with a 10% heavy mode: preemption keeps short requests
        from queueing behind long ones — on real cores too. *)
-    {
-      cname = "bimodal_tail";
-      ctext =
-        "workers=1; quantum=250us; src=bimodal:200us:5ms:0.1; arrival=poisson:0.5x; \
-         dur=800ms; warmup=200ms; seed=13";
-      gate_tail = true;
-    };
+    case "bimodal_tail" true
+      "quantum=250us; src=bimodal:200us:5ms:0.1; arrival=poisson:0.5x; seed=13";
   ]
 
 (* One execution of a gated case, with the band verdicts. *)
@@ -155,11 +116,8 @@ let run_gated () =
     "real_p50us" "sim_p99us" "real_p99us" "stail" "rtail" "p50ok" "tailok";
   List.map
     (fun c ->
-      (* Retry once on a miss: the sim side is deterministic, so only a
-         transient burst of host interference (another container, a GC
-         of the CI runner itself) can push the wall-clock side out of
-         an otherwise-comfortable band.  A genuine runtime or model
-         regression misses both attempts. *)
+      (* Retry once on a miss: a genuine runtime or model regression
+         misses both attempts. *)
       let first = attempt c in
       let retried = not (let _, _, _, _, _, ok = first in ok) in
       let sim, real, all_done, p50_agree, tail_agree, ok =
@@ -179,9 +137,7 @@ let run_gated () =
       (c.cname, ok))
     gated_cases
 
-(* ------------------------------------------------------------------ *)
-(* Load sweep: rank agreement                                          *)
-(* ------------------------------------------------------------------ *)
+(* Load sweep: rank agreement. *)
 
 let sweep_loads = [ 0.2; 0.35; 0.5; 0.65; 0.8 ]
 
@@ -219,9 +175,7 @@ let run_sweep () =
     ~metrics:[ ("spearman_p99", rho); ("rank_corr_ok", b2f rank_ok) ];
   rank_ok
 
-(* ------------------------------------------------------------------ *)
-(* Ungated: real parallelism                                           *)
-(* ------------------------------------------------------------------ *)
+(* Ungated: real parallelism. *)
 
 let smp_case () =
   let sim, real, steals, _ =

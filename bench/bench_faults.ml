@@ -17,32 +17,15 @@
    shows spare-core failover, then — with no spare configured — the
    graceful degradation to kernel-timer preemption. *)
 
-let us = Engine.Units.us
-let ms = Engine.Units.ms
-
-let dist = Workload.Service_dist.workload_a1
-let workers = 4
-
-let run_case ~seed ~rate ~duration_ns ~warmup_ns ~spec ~watchdog =
-  let faults =
-    match spec with
-    | None -> None
-    | Some s ->
-      let f = Fault.create ~seed () in
-      (match Fault.parse f s with
-      | Ok () -> ()
-      | Error msg -> invalid_arg ("bench_faults: bad fault spec: " ^ msg));
-      Some f
-  in
-  let cfg =
-    Preemptible.Server.default_config ~n_workers:workers
-      ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us 5))
-      ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-  in
-  let cfg = { cfg with Preemptible.Server.faults; watchdog; seed } in
-  Preemptible.Server.run ~warmup_ns cfg
-    ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-    ~source:(Bench_util.lc_source dist) ~duration_ns
+(* Every case is the same spec (workload A1 at 0.6x on 4 workers,
+   q=5us, seed 7) plus fault and watchdog overrides. *)
+let run_case overrides tweak =
+  Bench_util.run_with
+    (Bench_util.spec_of_string
+       (String.concat "; "
+          ("workers=4; quantum=5us; src=a1; arrival=poisson:0.6x; dur=60ms; warmup=10ms; seed=7"
+          :: overrides)))
+    tweak
 
 (* Surface the ledger in bench --report meta.resilience so CI artifacts
    carry the injected/detected/recovered accounting, not just stdout. *)
@@ -59,49 +42,40 @@ let ledger_line r =
     Printf.sprintf "inj=%d det=%d rec=%d undet=%d" fr.Fault.injected fr.Fault.detected
       fr.Fault.recovered fr.Fault.undetected
 
-let sweep ~seed ~rate ~duration_ns ~warmup_ns =
+let sweep () =
   Bench_util.header "Resilience: UIPI loss sweep (workload A1, 4 workers, q=5us)";
-  let base = run_case ~seed ~rate ~duration_ns ~warmup_ns ~spec:None ~watchdog:None in
-  let base_p99 = base.Preemptible.Server.all.Stat.Summary.p99 in
+  let base_p99 = (run_case [] Fun.id).Preemptible.Server.all.Stat.Summary.p99 in
   Format.printf "  %-28s p99=%8.1fus  (fault-free baseline)@." "drop=0" (base_p99 /. 1e3);
   let rows = ref [] in
   List.iter
     (fun drop ->
-      let spec = Some (Printf.sprintf "uipi.drop=p:%g" drop) in
-      let off = run_case ~seed ~rate ~duration_ns ~warmup_ns ~spec ~watchdog:None in
-      let on =
-        run_case ~seed ~rate ~duration_ns ~warmup_ns ~spec
-          ~watchdog:(Some Utimer.default_watchdog)
-      in
-      record_ledger ~name:(Printf.sprintf "faults.uipi.drop=%g/recovery=off" drop) off;
-      record_ledger ~name:(Printf.sprintf "faults.uipi.drop=%g/recovery=on" drop) on;
-      let p99_off = off.Preemptible.Server.all.Stat.Summary.p99 in
-      let p99_on = on.Preemptible.Server.all.Stat.Summary.p99 in
-      Format.printf
-        "  drop=%-5g recovery=off  p99=%8.1fus (%5.1fx)   [%s]@." drop (p99_off /. 1e3)
-        (p99_off /. base_p99) (ledger_line off);
-      Format.printf
-        "  drop=%-5g recovery=on   p99=%8.1fus (%5.1fx)   [%s]@." drop (p99_on /. 1e3)
-        (p99_on /. base_p99) (ledger_line on);
-      rows :=
-        Printf.sprintf "%g,off,%.1f,%.3f" drop (p99_off /. 1e3) (p99_off /. base_p99)
-        :: Printf.sprintf "%g,on,%.1f,%.3f" drop (p99_on /. 1e3) (p99_on /. base_p99)
-        :: !rows)
+      let faults = Printf.sprintf "faults={uipi.drop=p:%g}" drop in
+      List.iter
+        (fun (recovery, overrides) ->
+          let r = run_case overrides Fun.id in
+          record_ledger ~name:(Printf.sprintf "faults.uipi.drop=%g/recovery=%s" drop recovery) r;
+          let p99 = r.Preemptible.Server.all.Stat.Summary.p99 in
+          Format.printf "  drop=%-5g recovery=%-4s p99=%8.1fus (%5.1fx)   [%s]@." drop recovery
+            (p99 /. 1e3) (p99 /. base_p99) (ledger_line r);
+          rows :=
+            Printf.sprintf "%g,%s,%.1f,%.3f" drop recovery (p99 /. 1e3) (p99 /. base_p99) :: !rows)
+        [ ("off", [ faults ]); ("on", [ faults; "watchdog" ]) ])
     [ 0.001; 0.01; 0.05 ];
-  Bench_util.csv ~name:"faults"
+  Bench_report.csv ~name:"faults"
     ~header:"drop_rate,recovery,p99_us,ratio_vs_fault_free"
     ~rows:(List.rev !rows)
 
-let crash_demo ~seed ~rate ~duration_ns ~warmup_ns =
+let crash_demo () =
   Bench_util.header "Resilience: timer-core crash";
-  let spec = Some "utimer.crash=once:2000" in
-  let failover =
-    run_case ~seed ~rate ~duration_ns ~warmup_ns ~spec
-      ~watchdog:(Some Utimer.default_watchdog)
-  in
+  let crash = [ "faults={utimer.crash=once:2000}"; "watchdog" ] in
+  let failover = run_case crash Fun.id in
   let degraded =
-    run_case ~seed ~rate ~duration_ns ~warmup_ns ~spec
-      ~watchdog:(Some { Utimer.default_watchdog with Utimer.wd_spare_cores = 0 })
+    run_case crash (fun cfg ->
+        {
+          cfg with
+          Preemptible.Server.watchdog =
+            Some { Utimer.default_watchdog with Utimer.wd_spare_cores = 0 };
+        })
   in
   let show name (r : Preemptible.Server.result) =
     match r.Preemptible.Server.resilience with
@@ -117,8 +91,5 @@ let crash_demo ~seed ~rate ~duration_ns ~warmup_ns =
   show "crash, no spare" degraded
 
 let run () =
-  let seed = 7L in
-  let duration_ns = ms 60 and warmup_ns = ms 10 in
-  let rate = 0.6 *. Bench_util.capacity ~dist:Scenario.A1 ~workers ~duration_ns in
-  sweep ~seed ~rate ~duration_ns ~warmup_ns;
-  crash_demo ~seed ~rate ~duration_ns ~warmup_ns
+  sweep ();
+  crash_demo ()

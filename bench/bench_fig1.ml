@@ -3,8 +3,8 @@
    workloads of increasing dispersion, each at its best-tail-latency
    time quantum. *)
 
-let us = Bench_util.us
-let ms = Bench_util.ms
+let us = Engine.Units.us
+let ms = Engine.Units.ms
 
 let left () =
   Bench_util.header "Fig 1 (left): software vs hardware IPC delivery latency";
@@ -30,73 +30,55 @@ let shinjuku_run ~quantum ~dist ~rate =
   let cfg = Baselines.Shinjuku.default_config ~n_workers:5 ~quantum_ns:quantum in
   Baselines.Shinjuku.run ~warmup_ns:(ms 10) cfg
     ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-    ~source:(Bench_util.lc_source dist) ~duration_ns:(ms 80)
+    ~source:(Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical)
+    ~duration_ns:(ms 80)
 
 let right ~jobs () =
   Bench_util.header
     "Fig 1 (right): preemption overhead / lean execution on Shinjuku (best-tail quantum)";
-  Format.printf "%-22s %10s %12s %16s@." "workload (by dispersion)" "quantum" "p99(us)"
-    "preempt overhead";
   let cfg0 = Baselines.Shinjuku.default_config ~n_workers:5 ~quantum_ns:1 in
   let per_preempt_ns =
     Hw.Params.default.Hw.Params.ipi_send_ns + Hw.Params.default.Hw.Params.ipi_delivery_ns
     + cfg0.Baselines.Shinjuku.worker_preempt_cost_ns
     + Ksim.Costs.default.Ksim.Costs.fcontext_swap_ns
   in
-  let candidates = [ us 5; us 10; us 25; us 50; us 100; max_int ] in
   (* The quantum search is a (workload x candidate) grid of independent
-     runs; the argmin over p99 happens after the sweep. *)
-  let specs =
-    List.concat_map
-      (fun (name, dist) -> List.map (fun q -> (name, dist, q)) candidates)
-      dispersion_ladder
-  in
+     runs; the argmin over p99 picks each workload's point. *)
+  let candidates = [ us 5; us 10; us 25; us 50; us 100; max_int ] in
   let results =
-    Bench_util.sweep ~label:"fig1" ~jobs
-      (fun (_, dist, q) ->
+    Bench_util.run ~jobs ~label:"fig1"
+      (fun _ (dist, q) ->
         let mean = Workload.Service_dist.mean_ns dist ~now:0 in
-        let rate = 0.7 *. 5.0 *. 1e9 /. mean in
-        shinjuku_run ~quantum:q ~dist ~rate)
-      specs
+        shinjuku_run ~quantum:q ~dist ~rate:(0.7 *. 5.0 *. 1e9 /. mean))
+      (List.concat_map
+         (fun (name, dist) ->
+           List.map
+             (fun q -> ([ ("workload", name); ("q", string_of_int q) ], (dist, q)))
+             candidates)
+         dispersion_ladder)
   in
-  let by_key = Hashtbl.create 64 in
-  List.iter2 (fun (name, _, q) r -> Hashtbl.replace by_key (name, q) r) specs results;
-  List.iter
-    (fun (name, dist) ->
-      let mean = Workload.Service_dist.mean_ns dist ~now:0 in
-      let best_q, r =
-        List.fold_left
-          (fun (bq, br) q ->
-            let r = Hashtbl.find by_key (name, q) in
-            match br with
-            | None -> (q, Some r)
-            | Some prev ->
-              if
-                r.Preemptible.Server.all.Stat.Summary.p99
-                < prev.Preemptible.Server.all.Stat.Summary.p99
-              then (q, Some r)
-              else (bq, Some prev))
-          (0, None) candidates
-        |> fun (bq, br) -> (bq, Option.get br)
-      in
-      let lean_ns = float_of_int r.Preemptible.Server.completed *. mean in
-      let overhead =
-        float_of_int (r.Preemptible.Server.preemptions * per_preempt_ns) /. lean_ns
-      in
-      Bench_report.point ~fig:"fig1"
-        ~labels:[ ("workload", name) ]
-        ~metrics:
-          [
-            ( "best_quantum_us",
-              if best_q = max_int then 0.0 else float_of_int (best_q / 1000) );
-            ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-            ("overhead_pct", 100.0 *. overhead);
-          ];
-      Format.printf "%-22s %9s %11.1f %15.2f%%@." name
-        (if best_q = max_int then "none" else Printf.sprintf "%dus" (best_q / 1000))
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
-        (100.0 *. overhead))
-    dispersion_ladder;
+  let p99 (r : Preemptible.Server.result) = r.Preemptible.Server.all.Stat.Summary.p99 in
+  Bench_util.emit "fig1"
+    (List.map
+       (fun (name, dist) ->
+         let runs = List.filter (fun (l, _) -> Bench_util.label "workload" l = name) results in
+         let best, r =
+           List.fold_left
+             (fun (bl, br) (l, r) -> if p99 r < p99 br then (l, r) else (bl, br))
+             (List.hd runs) (List.tl runs)
+         in
+         let best_q = int_of_string (Bench_util.label "q" best) in
+         let lean_ns =
+           float_of_int r.Preemptible.Server.completed *. Workload.Service_dist.mean_ns dist ~now:0
+         in
+         let preempt_ns = float_of_int (r.Preemptible.Server.preemptions * per_preempt_ns) in
+         ( [ ("workload", name) ],
+           [
+             ("best_quantum_us", if best_q = max_int then 0.0 else float_of_int (best_q / 1000));
+             ("p99_us", p99 r /. 1e3);
+             ("overhead_pct", 100.0 *. preempt_ns /. lean_ns);
+           ] ))
+       dispersion_ladder);
   Format.printf
     "(expected shape: overhead grows with workload dispersion — heavy tails need\n\
     \ aggressive quanta, so more cycles go to preemption)@."

@@ -6,47 +6,21 @@ module Ts = Baselines.Timer_strategies
 let run ~jobs () =
   Bench_util.header
     "Fig 11: timer delivery overhead (us, mean) vs thread count; 1000 interrupts @ 100us";
-  let thread_counts = [ 1; 2; 4; 8; 16; 32 ] in
-  let specs =
+  let points =
     List.concat_map
-      (fun strategy -> List.map (fun threads -> (strategy, threads)) thread_counts)
+      (fun s ->
+        List.map
+          (fun n -> ([ ("strategy", Ts.name s); ("threads", string_of_int n) ], (s, n)))
+          [ 1; 2; 4; 8; 16; 32 ])
       Ts.all
   in
-  let results =
-    Bench_util.sweep ~label:"fig11" ~jobs
-      (fun (strategy, threads) ->
-        Ts.delivery_overhead strategy ~threads ~interval_ns:(Bench_util.us 100)
-          ~rounds:1000)
-      specs
-  in
-  let by_key = Hashtbl.create 32 in
-  List.iter2
-    (fun (strategy, threads) r -> Hashtbl.replace by_key (Ts.name strategy, threads) r)
-    specs results;
-  Format.printf "%-30s" "strategy \\ threads";
-  List.iter (fun n -> Format.printf "%9d" n) thread_counts;
-  Format.printf "@.";
-  let rows = ref [] in
-  List.iter
-    (fun strategy ->
-      Format.printf "%-30s" (Ts.name strategy);
-      List.iter
-        (fun threads ->
-          let r = Hashtbl.find by_key (Ts.name strategy, threads) in
-          rows :=
-            Printf.sprintf "%s,%d,%g,%g" (Ts.name strategy) threads r.Ts.mean_overhead_us
-              r.Ts.p99_overhead_us
-            :: !rows;
-          Bench_report.point ~fig:"fig11"
-            ~labels:[ ("strategy", Ts.name strategy); ("threads", string_of_int threads) ]
-            ~metrics:
-              [ ("mean_us", r.Ts.mean_overhead_us); ("p99_us", r.Ts.p99_overhead_us) ];
-          Format.printf "%9.2f" r.Ts.mean_overhead_us)
-        thread_counts;
-      Format.printf "@.")
-    Ts.all;
-  Bench_util.csv ~name:"fig11" ~header:"strategy,threads,mean_us,p99_us"
-    ~rows:(List.rev !rows);
+  ignore
+    (Bench_util.points ~jobs ~name:"fig11"
+       ~metrics:
+         [ ("mean_us", fun r -> r.Ts.mean_overhead_us); ("p99_us", fun r -> r.Ts.p99_overhead_us) ]
+       (fun _ (s, threads) ->
+         Ts.delivery_overhead s ~threads ~interval_ns:(Engine.Units.us 100) ~rounds:1000)
+       points);
   Format.printf
     "@.(expected: creation-time aligned timers superlinear — ~100us p99 at 32\n\
     \ threads; staggering flattens it; chaining is linear in the chain position;\n\

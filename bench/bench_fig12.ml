@@ -1,55 +1,56 @@
 (* Fig 12: precision of LibUtimer vs a kernel timer, 26 threads, 5000
-   samples, with background contention injected into the timer core. *)
+   samples, with background contention injected into the timer core.
+   The gap series behind the paper's scatter goes to fig12_gaps.csv. *)
 
 module Ts = Baselines.Timer_strategies
 
-let specs =
-  [
-    (`Kernel_timer, Bench_util.us 100);
-    (`Kernel_timer, Bench_util.us 20);
-    (`Utimer, Bench_util.us 100);
-    (`Utimer, Bench_util.us 20);
-  ]
-
 let run ~jobs () =
   Bench_util.header "Fig 12: timer precision, 26 threads, 5000 samples, background noise";
-  let results =
-    Bench_util.sweep ~label:"fig12" ~jobs
-      (fun (src, target) -> Ts.precision src ~threads:26 ~target_ns:target ~samples:5000)
-      specs
+  let points =
+    List.map
+      (fun (src, name, us) -> ([ ("source", name); ("target_us", string_of_int us) ], (src, us)))
+      [
+        (`Kernel_timer, "kernel-timer", 100);
+        (`Kernel_timer, "kernel-timer", 20);
+        (`Utimer, "LibUtimer", 100);
+        (`Utimer, "LibUtimer", 20);
+      ]
   in
-  let rows = ref [] in
-  List.iter2
-    (fun (_, target) r ->
-      Format.printf
-        "%-13s target=%3dus  mean=%7.2fus  std=%6.2fus  p99=%7.2fus  rel.err=%5.1f%%@."
-        r.Ts.source (target / 1000) r.Ts.mean_gap_us r.Ts.std_gap_us r.Ts.p99_gap_us
-        (100.0 *. r.Ts.rel_error);
-      Bench_report.point ~fig:"fig12"
-        ~labels:[ ("source", r.Ts.source); ("target_us", string_of_int (target / 1000)) ]
-        ~metrics:
-          [
-            ("mean_us", r.Ts.mean_gap_us);
-            ("std_us", r.Ts.std_gap_us);
-            ("p99_us", r.Ts.p99_gap_us);
-            ("rel_err_pct", 100.0 *. r.Ts.rel_error);
-          ];
-      (* a small excerpt of the series, as in the paper's scatter *)
+  let results =
+    Bench_util.points ~jobs ~name:"fig12"
+      ~metrics:
+        [
+          ("mean_us", fun r -> r.Ts.mean_gap_us);
+          ("std_us", fun r -> r.Ts.std_gap_us);
+          ("p99_us", fun r -> r.Ts.p99_gap_us);
+          ("rel_err_pct", fun r -> 100.0 *. r.Ts.rel_error);
+        ]
+      (fun _ (src, us) ->
+        Ts.precision src ~threads:26 ~target_ns:(Engine.Units.us us) ~samples:5000)
+      points
+  in
+  (* a small excerpt of each series, as in the paper's scatter *)
+  List.iter
+    (fun (l, r) ->
       let s = r.Ts.sample_gaps_us in
       let n = Array.length s in
-      Array.iteri
-        (fun i gap ->
-          rows := Printf.sprintf "%s,%d,%d,%g" r.Ts.source (target / 1000) i gap :: !rows)
-        s;
       if n >= 8 then begin
-        Format.printf "    sample gaps (us):";
+        Format.printf "  %s %sus sample gaps (us):" r.Ts.source (Bench_util.label "target_us" l);
         for i = 0 to 7 do
           Format.printf " %6.1f" s.(i * n / 8)
         done;
         Format.printf "@."
       end)
-    specs results;
-  Bench_util.csv ~name:"fig12" ~header:"source,target_us,sample,gap_us" ~rows:(List.rev !rows);
+    results;
+  Bench_report.csv ~name:"fig12_gaps" ~header:"source,target_us,sample,gap_us"
+    ~rows:
+      (List.concat_map
+         (fun (l, r) ->
+           List.mapi
+             (fun i gap ->
+               Printf.sprintf "%s,%s,%d,%g" r.Ts.source (Bench_util.label "target_us" l) i gap)
+             (Array.to_list r.Ts.sample_gaps_us))
+         results);
   Format.printf
     "@.(expected: the kernel timer cannot honour 20us — it floors near 60us with\n\
     \ high variance — while LibUtimer's relative error stays ~1%%)@."

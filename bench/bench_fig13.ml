@@ -3,100 +3,48 @@
    Left: fixed 30us quantum across load levels.
    Right: quantum sweep at a fixed 55 kRPS. *)
 
-let us = Bench_util.us
-let ms = Bench_util.ms
-
-let base_spec =
-  Bench_util.spec_of_string
-    "workers=1; src=mix(0.98*mica,0.02*zlib); dur=300ms; warmup=20ms"
-
-(* quantum = 0 encodes the no-preemption baseline in sweep specs. *)
-let run_colocated ~quantum ~rate =
-  Scenario.run_server
-    {
-      base_spec with
-      Scenario.quantum =
-        (if quantum = 0 then Scenario.No_preempt else Scenario.Fixed quantum);
-      arrival = Scenario.Poisson (Scenario.Abs rate);
-    }
-
-let cls_p99 = function Some (r : Stat.Summary.report) -> r.Stat.Summary.p99 /. 1e3 | None -> nan
-let cls_p50 = function Some (r : Stat.Summary.report) -> r.Stat.Summary.p50 /. 1e3 | None -> nan
-
-let report_point ~side ~quantum ~krps r =
-  Bench_report.point ~fig:"fig13"
-    ~labels:
+let side name ~krps ~quanta expected =
+  {
+    Figure.name = "fig13";
+    base = "workers=1; src=mix(0.98*mica,0.02*zlib); dur=300ms; warmup=20ms";
+    axes =
       [
-        ("side", side);
-        ("quantum_ns", string_of_int quantum);
-        ("load_krps", Printf.sprintf "%g" krps);
-      ]
-    ~metrics:
-      [
-        ("lc_p99_us", cls_p99 r.Preemptible.Server.lc);
-        ("lc_p50_us", cls_p50 r.Preemptible.Server.lc);
-        ("be_p99_us", cls_p99 r.Preemptible.Server.be);
-        ("be_p50_us", cls_p50 r.Preemptible.Server.be);
-      ]
+        Figure.axis "side" [ (name, "") ];
+        Figure.axis "load_krps"
+          (List.map (fun k -> (string_of_int k, Printf.sprintf "arrival=poisson:%d000" k)) krps);
+        Figure.quanta (0 :: quanta);
+      ];
+    run = (fun _ spec -> Scenario.run_server spec);
+    metrics = List.map Figure.server_metric [ "lc_p99_us"; "lc_p50_us"; "be_p99_us"; "be_p50_us" ];
+    expected;
+  }
 
-let left ~jobs () =
-  Format.printf "@.-- fixed quantum 30us, load sweep (p99 in us) --@.";
-  let krps_list = [ 35; 45; 55; 65 ] in
-  let specs =
-    List.concat_map (fun krps -> [ (krps, 0); (krps, us 30) ]) krps_list
-  in
-  let results =
-    Bench_util.sweep ~label:"fig13.left" ~jobs
-      (fun (krps, quantum) -> run_colocated ~quantum ~rate:(float_of_int krps *. 1e3))
-      specs
-  in
-  let by_key = Hashtbl.create 16 in
-  List.iter2 (fun spec r -> Hashtbl.replace by_key spec r) specs results;
-  Format.printf "%10s %12s %12s %10s %12s %12s@." "load(kRPS)" "LC-Base" "LC-Lib"
-    "LC gain" "BE-Base" "BE-Lib";
-  List.iter
-    (fun krps ->
-      let base = Hashtbl.find by_key (krps, 0) in
-      let lib = Hashtbl.find by_key (krps, us 30) in
-      report_point ~side:"left" ~quantum:0 ~krps:(float_of_int krps) base;
-      report_point ~side:"left" ~quantum:(us 30) ~krps:(float_of_int krps) lib;
-      Format.printf "%10d %12.1f %12.1f %9.1fx %12.1f %12.1f@." krps
-        (cls_p99 base.Preemptible.Server.lc) (cls_p99 lib.Preemptible.Server.lc)
-        (cls_p99 base.Preemptible.Server.lc /. cls_p99 lib.Preemptible.Server.lc)
-        (cls_p99 base.Preemptible.Server.be) (cls_p99 lib.Preemptible.Server.be))
-    krps_list
+let left = side "left" ~krps:[ 35; 45; 55; 65 ] ~quanta:[ 30 ] ""
 
-let right ~jobs () =
-  Format.printf "@.-- fixed 55 kRPS, preemption-interval sweep --@.";
-  let quanta = [ us 5; us 10; us 20; us 30; us 50 ] in
-  let results =
-    Bench_util.sweep ~label:"fig13.right" ~jobs
-      (fun quantum -> run_colocated ~quantum ~rate:55_000.0)
-      (0 :: quanta)
-  in
-  let by_q = Hashtbl.create 16 in
-  List.iter2 (fun q r -> Hashtbl.replace by_q q r) (0 :: quanta) results;
-  let base = Hashtbl.find by_q 0 in
-  report_point ~side:"right" ~quantum:0 ~krps:55.0 base;
-  Format.printf "%10s %12s %10s %12s %10s@." "quantum" "LC p99(us)" "LC gain" "BE p50(us)"
-    "BE cost";
-  Format.printf "%10s %12.1f %10s %12.1f %10s@." "none"
-    (cls_p99 base.Preemptible.Server.lc) "-" (cls_p50 base.Preemptible.Server.be) "-";
+let right =
+  side "right" ~krps:[ 55 ] ~quanta:[ 5; 10; 20; 30; 50 ]
+    "(expected: 30us quantum cuts LC p99 ~3-4x with a modest BE penalty; 5us cuts\n\
+    \ it ~18x at ~2x BE cost — the paper's latency/throughput trade-off)"
+
+(* What the figure's conclusion rests on: each quantum against no
+   preemption at the same load. *)
+let gains fig results =
+  let m name = List.assoc name fig.Figure.metrics in
   List.iter
-    (fun q ->
-      let lib = Hashtbl.find by_q q in
-      report_point ~side:"right" ~quantum:q ~krps:55.0 lib;
-      Format.printf "%9dus %12.1f %9.1fx %12.1f %9.2fx@." (q / 1000)
-        (cls_p99 lib.Preemptible.Server.lc)
-        (cls_p99 base.Preemptible.Server.lc /. cls_p99 lib.Preemptible.Server.lc)
-        (cls_p50 lib.Preemptible.Server.be)
-        (cls_p50 lib.Preemptible.Server.be /. cls_p50 base.Preemptible.Server.be))
-    quanta
+    (fun (l, r) ->
+      if Bench_util.label "quantum_ns" l <> "0" then
+        let base = Bench_util.find results l ~keys:[ "load_krps" ] ("quantum_ns", "0") in
+        Format.printf "  %s kRPS, q=%dus: LC p99 gain %.1fx, BE p50 cost %.2fx, BE p99 cost %.2fx@."
+          (Bench_util.label "load_krps" l)
+          (int_of_string (Bench_util.label "quantum_ns" l) / 1000)
+          (m "lc_p99_us" base /. m "lc_p99_us" r)
+          (m "be_p50_us" r /. m "be_p50_us" base)
+          (m "be_p99_us" r /. m "be_p99_us" base))
+    results
 
 let run ~jobs () =
   Bench_util.header "Fig 13: colocated MICA (LC) + zlib (BE), FCFS with preemption";
-  left ~jobs ();
-  right ~jobs ();
-  Format.printf
-    "@.(expected: 30us quantum cuts LC p99 ~3-4x with a modest BE penalty; 5us cuts\n\
-    \ it ~18x at ~2x BE cost — the paper's latency/throughput trade-off)@."
+  Format.printf "@.-- fixed quantum 30us, load sweep (p99 in us) --@.";
+  Bench_util.figure ~jobs ~hook:(gains left) left;
+  Format.printf "@.-- fixed 55 kRPS, preemption-interval sweep --@.";
+  Bench_util.figure ~jobs ~hook:(gains right) right

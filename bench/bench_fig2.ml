@@ -2,97 +2,34 @@
    heavy-tailed bimodal workload and a light-tailed exponential
    workload, 16 cores.  The crossover the paper motivates adaptivity
    with: small quanta win under heavy tails, large (or no) quanta win
-   under light tails. *)
+   under light tails.
 
-let us = Bench_util.us
-let ms = Bench_util.ms
-
-let workers = 16
-
-(* 16 workers at ~5 Mrps would saturate the default 250ns dispatcher
+   16 workers at ~5 Mrps would saturate the default 250ns dispatcher
    before the workers; the dispatch path is not the object of this
-   experiment, so make it cheap. *)
-let base_spec = Bench_util.spec_of_string "workers=16; dispatch=50ns; dur=60ms; warmup=10ms"
+   experiment, so it is made cheap. *)
 
-let run_point ~dist ~quantum ~rate =
-  Scenario.run_server
-    {
-      base_spec with
-      Scenario.quantum =
-        (if quantum = 0 then Scenario.No_preempt else Scenario.Fixed quantum);
-      src = Scenario.Dist (dist, Scenario.Lc);
-      arrival = Scenario.Poisson (Scenario.Abs rate);
-    }
-
-let workloads =
-  [
-    ("bimodal 99.5%x0.5us + 0.5%x500us (heavy)", Scenario.A1);
-    ("exponential mean 5us (light)", Scenario.B);
-  ]
+let figure =
+  {
+    Figure.name = "fig2";
+    base = "workers=16; dispatch=50ns; dur=60ms; warmup=10ms";
+    axes =
+      [
+        Figure.axis "workload"
+          [
+            ("bimodal 99.5%x0.5us + 0.5%x500us (heavy)", "src=a1");
+            ("exponential mean 5us (light)", "src=b");
+          ];
+        Figure.loads [ 0.2; 0.4; 0.6; 0.7; 0.8; 0.9 ];
+        Figure.quanta [ 0; 5; 25; 100 ];
+      ];
+    run = (fun _ spec -> Scenario.run_server spec);
+    metrics = List.map Figure.server_metric [ "p50_us"; "p99_us"; "p999_us"; "tput_rps" ];
+    expected =
+      "(expected: on the bimodal workload lower quanta give lower p99; on the\n\
+      \ exponential workload preemption only adds overhead, so larger quanta win)";
+  }
 
 let run ~jobs () =
   Bench_util.header
     "Fig 2: p99 latency (us) vs load for preemption quanta, 16 cores (0 = no preemption)";
-  let quanta = [ 0; us 5; us 25; us 100 ] in
-  let loads = [ 0.2; 0.4; 0.6; 0.7; 0.8; 0.9 ] in
-  let specs =
-    List.concat_map
-      (fun (name, dist) ->
-        let cap = Bench_util.capacity ~dist ~workers ~duration_ns:0 in
-        List.concat_map
-          (fun load -> List.map (fun quantum -> (name, dist, cap, load, quantum)) quanta)
-          loads)
-      workloads
-  in
-  let results =
-    Bench_util.sweep ~label:"fig2" ~jobs
-      (fun (_, dist, cap, load, quantum) -> run_point ~dist ~quantum ~rate:(load *. cap))
-      specs
-  in
-  let by_key = Hashtbl.create 64 in
-  List.iter2
-    (fun (name, _, _, load, quantum) r -> Hashtbl.replace by_key (name, load, quantum) r)
-    specs results;
-  let rows = ref [] in
-  List.iter
-    (fun (name, dist) ->
-      let cap = Bench_util.capacity ~dist ~workers ~duration_ns:0 in
-      Format.printf "@.workload %s (capacity ~%.2f Mrps)@." name (cap /. 1e6);
-      Format.printf "%8s" "load";
-      List.iter
-        (fun q ->
-          Format.printf "%12s" (if q = 0 then "no-preempt" else Printf.sprintf "q=%dus" (q / 1000)))
-        quanta;
-      Format.printf "@.";
-      List.iter
-        (fun load ->
-          Format.printf "%7.0f%%" (load *. 100.0);
-          List.iter
-            (fun quantum ->
-              let r = Hashtbl.find by_key (name, load, quantum) in
-              let p99 = r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3 in
-              rows := Printf.sprintf "%s,%g,%d,%g" name load quantum p99 :: !rows;
-              Bench_report.point ~fig:"fig2"
-                ~labels:
-                  [
-                    ("workload", name);
-                    ("load", Printf.sprintf "%g" load);
-                    ("quantum_ns", string_of_int quantum);
-                  ]
-                ~metrics:
-                  [
-                    ("p50_us", r.Preemptible.Server.all.Stat.Summary.p50 /. 1e3);
-                    ("p99_us", p99);
-                    ("p999_us", r.Preemptible.Server.all.Stat.Summary.p999 /. 1e3);
-                    ("tput_rps", r.Preemptible.Server.throughput_rps);
-                  ];
-              Format.printf "%12.1f" p99)
-            quanta;
-          Format.printf "@.")
-        loads)
-    workloads;
-  Bench_util.csv ~name:"fig2" ~header:"workload,load,quantum_ns,p99_us"
-    ~rows:(List.rev !rows);
-  Format.printf
-    "@.(expected: on the bimodal workload lower quanta give lower p99; on the\n\
-    \ exponential workload preemption only adds overhead, so larger quanta win)@."
+  Bench_util.figure ~jobs figure

@@ -1,162 +1,74 @@
-(* Fig 8: median and p99 latency vs throughput for LibPreemptible,
-   LibPreemptible without UINTR, Shinjuku and Libinger across workloads
-   A1, A2, B and C; plus the SLO-bounded maximum-throughput summary.
+(* Fig 8: latency vs throughput, four systems x four workloads (the
+   grid is Figure.fig8), plus the SLO-bounded maximum-throughput
+   summary.  The paper bounds p99 by 200x the average latency of a
+   stable (lightly loaded) system, whose runs are Figure.fig8_slo.  We
+   additionally require p99.9 <= 10x that bound: with A1's 0.5% long
+   requests, a saturated system can starve the longs entirely — they
+   hide beyond the 99th percentile while the shorts flow through, so
+   the p99 bound alone would accept throughput above physical
+   capacity. *)
 
-   Two sweep phases: the lightly-loaded SLO-reference runs, then the
-   full (workload x system x load) grid.  Each point is an independent
-   simulation, so both phases fan out across the pool. *)
+let names axis = List.map (fun (l, _) -> snd (List.hd l)) axis
+let workloads = names (List.nth Figure.fig8.axes 0)
+let systems = names (List.nth Figure.fig8.axes 1)
 
-let ms = Bench_util.ms
+let all (r : Preemptible.Server.result) = r.Preemptible.Server.all
 
-let duration = ms 100
-let warmup = ms 20
-
-let systems () =
-  [
-    Bench_util.libpreemptible ~adaptive:true ();
-    Bench_util.libpreemptible_nouintr ();
-    Bench_util.shinjuku ();
-    Bench_util.libinger ();
-  ]
-
-(* The paper bounds p99 by 200x the average latency of a stable
-   (lightly loaded) system to define max throughput.  We additionally
-   require p99.9 <= 10x that bound: with A1's 0.5% long requests, a
-   saturated system can starve the longs entirely — they hide beyond
-   the 99th percentile while the shorts flow through, so the p99 bound
-   alone would accept throughput above physical capacity. *)
-let slo_for (sys : Bench_util.system) dist cap =
-  let r =
-    Bench_util.run_system sys ~rate:(0.1 *. cap) ~dist ~duration_ns:duration
-      ~warmup_ns:warmup
+(* The max-throughput and p99-at-90% tables; LP is the first system,
+   Shinjuku the third. *)
+let summary slos results =
+  let key l = (Bench_util.label "workload" l, Bench_util.label "system" l) in
+  let max_tput w s =
+    let slo = 200.0 *. (all (snd (List.find (fun (l, _) -> key l = (w, s)) slos))).mean in
+    List.fold_left
+      (fun best (l, r) ->
+        let a = all r in
+        if
+          key l = (w, s)
+          && a.Stat.Summary.p99 <= slo
+          && a.Stat.Summary.p999 <= 10.0 *. slo
+          && r.Preemptible.Server.throughput_rps > best
+        then r.Preemptible.Server.throughput_rps
+        else best)
+      0.0 results
   in
-  200.0 *. r.Preemptible.Server.all.Stat.Summary.mean
-
-let run ~jobs () =
-  Bench_util.header "Fig 8: latency vs throughput, four systems x four workloads";
-  (* Sweep past nominal capacity: the systems differ exactly in how
-     much of it their preemption overhead burns. *)
-  let loads = [ 0.5; 0.7; 0.8; 0.85; 0.9; 0.95; 1.0; 1.05 ] in
-  let workloads = Bench_util.named_workloads in
-  let sys_list = systems () in
-  (* Capacity reference: 4 worker cores (LibPreemptible's budget); all
-     systems sweep the same absolute rates so throughputs are
-     comparable. *)
-  let cap_of dist = Bench_util.capacity ~dist ~workers:4 ~duration_ns:duration in
-  let slo_specs =
-    List.concat_map
-      (fun (wname, dist) -> List.map (fun sys -> (wname, dist, sys)) sys_list)
-      workloads
-  in
-  let slos =
-    Bench_util.sweep ~label:"fig8.slo" ~jobs
-      (fun (_, dist, sys) -> slo_for sys dist (cap_of dist))
-      slo_specs
-  in
-  let slo_tbl = Hashtbl.create 16 in
-  List.iter2
-    (fun (wname, _, sys) slo -> Hashtbl.replace slo_tbl (wname, sys.Bench_util.sys_name) slo)
-    slo_specs slos;
-  let specs =
-    List.concat_map
-      (fun (wname, dist) ->
-        List.concat_map
-          (fun sys -> List.map (fun load -> (wname, dist, sys, load)) loads)
-          sys_list)
-      workloads
-  in
-  let results =
-    Bench_util.sweep ~label:"fig8" ~jobs
-      (fun (_, dist, sys, load) ->
-        Bench_util.run_system sys ~rate:(load *. cap_of dist) ~dist
-          ~duration_ns:duration ~warmup_ns:warmup)
-      specs
-  in
-  let res_tbl = Hashtbl.create 128 in
-  List.iter2
-    (fun (wname, _, sys, load) r ->
-      Hashtbl.replace res_tbl (wname, sys.Bench_util.sys_name, load) r)
-    specs results;
-  let max_tputs = Hashtbl.create 16 in
-  let p99_at_95 = Hashtbl.create 16 in
-  let rows = ref [] in
-  List.iter
-    (fun (wname, dist) ->
-      Format.printf "@.workload %s (sweep up to ~%.2f Mrps)@." wname (cap_of dist /. 1e6);
-      Format.printf "%-26s %9s %11s %11s %11s@." "system" "offered" "tput(rps)" "p50(us)"
-        "p99(us)";
-      List.iter
-        (fun sys ->
-          let sname = sys.Bench_util.sys_name in
-          let slo = Hashtbl.find slo_tbl (wname, sname) in
-          let best = ref 0.0 in
-          List.iter
-            (fun load ->
-              let r = Hashtbl.find res_tbl (wname, sname, load) in
-              let p50 = r.Preemptible.Server.all.Stat.Summary.p50 in
-              let p99 = r.Preemptible.Server.all.Stat.Summary.p99 in
-              let p999 = r.Preemptible.Server.all.Stat.Summary.p999 in
-              if p99 <= slo && p999 <= 10.0 *. slo
-                 && r.Preemptible.Server.throughput_rps > !best
-              then best := r.Preemptible.Server.throughput_rps;
-              if load = 0.9 then Hashtbl.replace p99_at_95 (wname, sname) p99;
-              rows :=
-                Printf.sprintf "%s,%s,%g,%g,%g,%g" wname sname load
-                  r.Preemptible.Server.throughput_rps (p50 /. 1e3) (p99 /. 1e3)
-                :: !rows;
-              Bench_report.point ~fig:"fig8"
-                ~labels:
-                  [
-                    ("workload", wname);
-                    ("system", sname);
-                    ("load", Printf.sprintf "%g" load);
-                  ]
-                ~metrics:
-                  [
-                    ("tput_rps", r.Preemptible.Server.throughput_rps);
-                    ("p50_us", p50 /. 1e3);
-                    ("p99_us", p99 /. 1e3);
-                    ("p999_us", p999 /. 1e3);
-                  ];
-              Format.printf "%-26s %8.0f%% %11.0f %11.1f %11.1f@." sname (100.0 *. load)
-                r.Preemptible.Server.throughput_rps (p50 /. 1e3) (p99 /. 1e3))
-            loads;
-          Hashtbl.replace max_tputs (wname, sname) !best)
-        sys_list)
-    workloads;
-  Bench_util.csv ~name:"fig8" ~header:"workload,system,load,tput_rps,p50_us,p99_us"
-    ~rows:(List.rev !rows);
   Bench_util.header
     "Fig 8 summary: max tput with p99 <= 200x stable mean (and p99.9 <= 10x that)";
   Format.printf "%-10s" "workload";
-  List.iter (fun s -> Format.printf "%26s" s.Bench_util.sys_name) sys_list;
+  List.iter (fun s -> Format.printf "%26s" s) systems;
   Format.printf "%22s@." "LP vs Shinjuku";
   List.iter
-    (fun (wname, _) ->
-      Format.printf "%-10s" wname;
-      let get s = try Hashtbl.find max_tputs (wname, s.Bench_util.sys_name) with Not_found -> 0.0 in
-      List.iter
-        (fun s ->
-          Bench_report.point ~fig:"fig8_summary"
-            ~labels:[ ("workload", wname); ("system", s.Bench_util.sys_name) ]
-            ~metrics:[ ("max_tput_rps", get s) ];
-          Format.printf "%25.0fk" (get s /. 1e3))
-        sys_list;
-      let lp = get (List.nth sys_list 0) and sh = get (List.nth sys_list 2) in
+    (fun w ->
+      Format.printf "%-10s" w;
+      let tputs =
+        List.map
+          (fun s ->
+            let t = max_tput w s in
+            Bench_report.point ~fig:"fig8_summary"
+              ~labels:[ ("workload", w); ("system", s) ]
+              ~metrics:[ ("max_tput_rps", t) ];
+            Format.printf "%25.0fk" (t /. 1e3);
+            t)
+          systems
+      in
+      let lp = List.nth tputs 0 and sh = List.nth tputs 2 in
       if sh > 0.0 then Format.printf "%21.0f%%@." (100.0 *. (lp -. sh) /. sh)
       else Format.printf "%22s@." "-")
     workloads;
   Format.printf "@.p99 at 90%% load (tail-latency headline):@.";
   Format.printf "%-10s %16s %16s %12s@." "workload" "LP p99(us)" "Shinjuku p99(us)" "ratio";
   List.iter
-    (fun (wname, _) ->
-      let find s =
-        try Hashtbl.find p99_at_95 (wname, s.Bench_util.sys_name) with Not_found -> nan
+    (fun w ->
+      let p99 s =
+        let at (l, _) = key l = (w, s) && Bench_util.label "load" l = "0.9" in
+        (all (snd (List.find at results))).Stat.Summary.p99
       in
-      let lp = find (List.nth sys_list 0) and sh = find (List.nth sys_list 2) in
-      Format.printf "%-10s %16.1f %16.1f %11.1fx@." wname (lp /. 1e3) (sh /. 1e3) (sh /. lp))
-    workloads;
-  Format.printf
-    "@.(expected shape: LibPreemptible holds ~10x lower p99 than Shinjuku near\n\
-    \ saturation, +~22%% max throughput on A1 and +~33%% on C; disabling UINTR\n\
-    \ costs >5x tail at high load; Libinger trails both)@."
+      let lp = p99 (List.nth systems 0) and sh = p99 (List.nth systems 2) in
+      Format.printf "%-10s %16.1f %16.1f %11.1fx@." w (lp /. 1e3) (sh /. 1e3) (sh /. lp))
+    workloads
+
+let run ~jobs () =
+  Bench_util.header "Fig 8: latency vs throughput, four systems x four workloads";
+  let slo = Figure.fig8_slo in
+  let slos = Bench_util.run ~jobs ~label:slo.name slo.run (Figure.points slo) in
+  Bench_util.figure ~jobs ~hook:(summary slos) Figure.fig8

@@ -1,21 +1,21 @@
 (* Fig 9: SLO violations over time on workload C — adaptive time quanta
    (Algorithm 1) against a static quantum.  The controller runs at the
-   stats-window boundary, off the critical path. *)
+   stats-window boundary, off the critical path.
 
-let us = Bench_util.us
-let ms = Bench_util.ms
-
-let duration = ms 400
-let slo_ns = us 50
-let window = ms 40
-
-(* The common scenario: workload C under a two-phase arrival (heavy at
+   The common scenario: workload C under a two-phase arrival (heavy at
    900 kRPS for the first half, light at 250 kRPS after); each variant
-   only swaps the quantum fields in. *)
-let base_spec =
-  Bench_util.spec_of_string
-    "src=c; arrival=piecewise(200ms:poisson:900000,400ms:poisson:250000); \
-     dur=400ms; window=40ms"
+   only swaps the quantum fields in.  The controller state is built
+   inside the task (from the spec), so parallel variants never share a
+   controller. *)
+
+let slo_ns = Engine.Units.us 50
+let window = Engine.Units.ms 40
+
+type run = {
+  r : Preemptible.Server.result;
+  windows : (int * int * int * int) list;  (** start, violations, completions, quantum *)
+  rate : float;  (** violation rate over the run, % *)
+}
 
 let run_one spec =
   let violations = Stat.Timeseries.create ~window_ns:window in
@@ -34,76 +34,68 @@ let run_one spec =
     }
   in
   let r = Scenario.run_server ~probes spec in
-  (r, Stat.Timeseries.points violations, Stat.Timeseries.points totals, List.rev !quanta)
+  let viol = Stat.Timeseries.points violations and quanta = List.rev !quanta in
+  let windows =
+    List.map
+      (fun (p : Stat.Timeseries.point) ->
+        let t = p.Stat.Timeseries.t_start in
+        let v =
+          match List.find_opt (fun (q : Stat.Timeseries.point) -> q.t_start = t) viol with
+          | Some q -> q.Stat.Timeseries.count
+          | None -> 0
+        in
+        (t, v, p.Stat.Timeseries.count, Option.value ~default:0 (List.assoc_opt t quanta)))
+      (Stat.Timeseries.points totals)
+  in
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 windows in
+  let v = sum (fun (_, v, _, _) -> v) and n = sum (fun (_, _, n, _) -> n) in
+  { r; windows; rate = 100.0 *. float_of_int v /. float_of_int (max n 1) }
 
-let print_run name (r, viol, totals, quanta) =
-  Format.printf "@.%s: overall p99=%.1fus preemptions=%d@." name
-    (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
-    r.Preemptible.Server.preemptions;
-  Format.printf "  %8s %12s %10s@." "window" "violations" "quantum";
-  let total_viol = ref 0 and total_n = ref 0 in
+let figure =
+  {
+    Figure.name = "fig9";
+    base =
+      "src=c; arrival=piecewise(200ms:poisson:900000,400ms:poisson:250000); \
+       dur=400ms; window=40ms";
+    axes =
+      [
+        Figure.axis "variant"
+          [
+            ("static 40us", "quantum=40us");
+            ( "adaptive (Algorithm 1)",
+              "quantum=adaptive:40us; maxload=1300000; \
+               ctl={k1=8us;k2=8us;k3=8us;tmax=60us;lhigh=0.6;llow=0.25}" );
+          ];
+      ];
+    run = (fun _ spec -> run_one spec);
+    metrics =
+      ("violation_rate_pct", fun w -> w.rate)
+      :: Bench_util.server_metrics (fun w -> w.r) [ "p99_us"; "preemptions" ];
+    (* quotes the measured rates, so the window hook prints it *)
+    expected = "";
+  }
+
+let print_windows results =
   List.iter
-    (fun (p : Stat.Timeseries.point) ->
-      let t = p.Stat.Timeseries.t_start in
-      let v =
-        match
-          List.find_opt (fun (q : Stat.Timeseries.point) -> q.Stat.Timeseries.t_start = t) viol
-        with
-        | Some q -> q.Stat.Timeseries.count
-        | None -> 0
-      in
-      total_viol := !total_viol + v;
-      total_n := !total_n + p.Stat.Timeseries.count;
-      let q = try List.assoc t quanta with Not_found -> 0 in
-      Format.printf "  %6.0fms %11.2f%% %9s@." (Engine.Units.to_ms t)
-        (100.0 *. float_of_int v /. float_of_int (max p.Stat.Timeseries.count 1))
-        (if q = 0 then "-" else Printf.sprintf "%dus" (q / 1000)))
-    totals;
-  Format.printf "  total violation rate: %.2f%%@."
-    (100.0 *. float_of_int !total_viol /. float_of_int (max !total_n 1));
-  100.0 *. float_of_int !total_viol /. float_of_int (max !total_n 1)
-  |> fun rate -> rate
-
-let variants =
-  [
-    ("static 40us", "quantum=40us");
-    ( "adaptive (Algorithm 1)",
-      "quantum=adaptive:40us; maxload=1300000; \
-       ctl={k1=8us;k2=8us;k3=8us;tmax=60us;lhigh=0.6;llow=0.25}" );
-  ]
-
-let variant_spec overrides =
-  match Scenario.override base_spec overrides with
-  | Ok s -> s
-  | Error e -> invalid_arg ("fig9: " ^ Scenario.error_to_string e)
-
-let run ~jobs () =
-  Bench_util.header "Fig 9: SLO (50us) violations on workload C, static vs adaptive quanta";
-  (* The controller state is built inside the task (from the spec) so
-     parallel variants never share a controller. *)
-  let results =
-    Bench_util.sweep ~label:"fig9" ~jobs
-      (fun (_, overrides) -> run_one (variant_spec overrides))
-      variants
-  in
-  let rates =
-    List.map2
-      (fun (name, _) ((r, _, _, _) as res) ->
-        let rate = print_run name res in
-        Bench_report.point ~fig:"fig9"
-          ~labels:[ ("variant", name) ]
-          ~metrics:
-            [
-              ("violation_rate_pct", rate);
-              ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-              ("preemptions", float_of_int r.Preemptible.Server.preemptions);
-            ];
-        rate)
-      variants results
-  in
-  let static_rate = List.nth rates 0 and adaptive_rate = List.nth rates 1 in
+    (fun (l, w) ->
+      Format.printf "@.%s: overall p99=%.1fus preemptions=%d@." (Bench_util.label "variant" l)
+        (w.r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
+        w.r.Preemptible.Server.preemptions;
+      Format.printf "  %8s %12s %10s@." "window" "violations" "quantum";
+      List.iter
+        (fun (t, v, n, q) ->
+          Format.printf "  %6.0fms %11.2f%% %9s@." (Engine.Units.to_ms t)
+            (100.0 *. float_of_int v /. float_of_int (max n 1))
+            (if q = 0 then "-" else Printf.sprintf "%dus" (q / 1000)))
+        w.windows;
+      Format.printf "  total violation rate: %.2f%%@." w.rate)
+    results;
   Format.printf
     "@.(expected: the controller tightens the quantum in the heavy-tailed phase —\n\
     \ cutting violations vs static — and relaxes it in the light/low phase,\n\
     \ saving preemption cycles; static %.2f%% vs adaptive %.2f%% here)@."
-    static_rate adaptive_rate
+    (snd (List.nth results 0)).rate (snd (List.nth results 1)).rate
+
+let run ~jobs () =
+  Bench_util.header "Fig 9: SLO (50us) violations on workload C, static vs adaptive quanta";
+  Bench_util.figure ~jobs ~hook:print_windows figure

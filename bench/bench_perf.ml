@@ -48,23 +48,17 @@ let engine_micro () =
   let words = Obs.Alloc.words alloc in
   (!fired, wall, words)
 
+(* The default scenario (4 workers, q=5us) on workload A2 at 0.8x,
+   lowered before the measured run. *)
 let server_macro () =
-  let dist = Workload.Service_dist.workload_a2 in
-  let duration_ns = Engine.Units.ms 100 in
-  let warmup_ns = Engine.Units.ms 20 in
-  let rate = 0.8 *. Bench_util.capacity ~dist:Scenario.A2 ~workers:4 ~duration_ns in
-  let cfg =
-    Preemptible.Server.default_config ~n_workers:4
-      ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(Engine.Units.us 5))
-      ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-  in
+  let spec = Bench_util.spec_of_string "src=a2; arrival=poisson:0.8x; dur=100ms; warmup=20ms" in
+  let cfg = Scenario.server_config spec and duration_ns = spec.Scenario.duration_ns in
+  let arrival = Scenario.arrival_process spec and source = Scenario.source_sampler spec in
   Gc.full_major ();
   let alloc = Obs.Alloc.start () in
   let t0 = Unix.gettimeofday () in
   let r =
-    Preemptible.Server.run ~warmup_ns cfg
-      ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-      ~source:(Bench_util.lc_source dist) ~duration_ns
+    Preemptible.Server.run ~warmup_ns:spec.Scenario.warmup_ns cfg ~arrival ~source ~duration_ns
   in
   let wall = Unix.gettimeofday () -. t0 in
   let words = Obs.Alloc.words alloc in

@@ -14,7 +14,7 @@ let tenancy () =
     (fun tenants ->
       let r =
         Baselines.Tenancy.libpreemptible ~tenants ~per_tenant_rate:200_000.0
-          ~duration_ns:(Bench_util.ms 50) ()
+          ~duration_ns:(Engine.Units.ms 50) ()
       in
       Format.printf "%9d %14.1f %14.1f %16d@." tenants r.Baselines.Tenancy.mean_p99_us
         r.Baselines.Tenancy.worst_p99_us r.Baselines.Tenancy.timer_interrupts)
@@ -30,7 +30,7 @@ let run () =
   Bench_util.header
     "Sec VII: interrupt-storm DoS — victim throughput/tail under attack";
   let victim_rate = 300_000.0 in
-  let duration_ns = Bench_util.ms 100 in
+  let duration_ns = Engine.Units.ms 100 in
   Format.printf "victim: one core, exp(2us) service at %.0f kRPS@.@." (victim_rate /. 1e3);
   List.iter
     (fun scenario ->

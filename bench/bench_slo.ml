@@ -1,23 +1,17 @@
 (* SLO telemetry figure (bench --slo).
 
    A flash crowd hits an unguarded server and the latency SLO starts
-   burning.  Two detectors watch the same completion stream:
+   burning.  Two detectors watch the same completion stream: the
+   multi-window burn-rate alert (Obs.Slo; fast and slow windows both
+   burning above threshold) and a naive static alert (the cumulative
+   error budget is exhausted, i.e. the SLO is already lost).  The gated
+   headline is the lead time: the burn-rate alert fires during the
+   ramp, the static alert only after the healthy history has been
+   eaten through.
 
-   - the multi-window burn-rate alert (Obs.Slo): fast/slow trailing
-     windows both burning above threshold — the SRE-style pager rule;
-   - a naive static-threshold alert: the cumulative error budget is
-     exhausted (budget_consumed >= 1), i.e. the SLO is already lost.
-
-   The gated headline is the lead time: the burn-rate alert fires
-   during the flash-crowd ramp, the static alert only after the
-   accumulated good history has been eaten through.  The longer the
-   healthy history, the later the static alert — which is exactly why
-   static thresholds page too late.
-
-   A second case re-runs the identical scenario with telemetry
-   disabled and checks the latency results are bit-identical
-   (results_identical = 1.0): the telemetry tick is passive and the
-   telemetry-off hot path untouched. *)
+   A second case re-runs the scenario with telemetry off and checks the
+   latency results are bit-identical (results_identical = 1.0): the
+   telemetry tick is passive. *)
 
 let us = Engine.Units.us
 let ms = Engine.Units.ms
@@ -58,15 +52,11 @@ let telemetry_config =
   }
 
 let run_case ~telemetry =
-  let cfg =
-    {
-      (Scenario.server_config spec) with
-      Preemptible.Server.telemetry = (if telemetry then Some telemetry_config else None);
-    }
-  in
-  Preemptible.Server.run ~warmup_ns:spec.Scenario.warmup_ns cfg
-    ~arrival:(Scenario.arrival_process spec)
-    ~source:(Scenario.source_sampler spec) ~duration_ns:spec.Scenario.duration_ns
+  Bench_util.run_with spec (fun cfg ->
+      {
+        cfg with
+        Preemptible.Server.telemetry = (if telemetry then Some telemetry_config else None);
+      })
 
 let run ~jobs:_ () =
   Bench_util.header
@@ -143,13 +133,6 @@ let run ~jobs:_ () =
       [
         ("results_identical", (if identical then 1.0 else 0.0));
         ("completed", float_of_int r.Preemptible.Server.completed);
-      ];
-  Bench_util.csv ~name:"slo"
-    ~header:"case,first_burn_ms,first_static_ms,lead_ms,burn_alerts,budget_consumed,p99_us"
-    ~rows:
-      [
-        Printf.sprintf "flash,%.3f,%.3f,%.3f,%d,%.3f,%.1f" first_burn_ms first_static_ms
-          lead_ms slo.Obs.Slo.burn_alerts slo.Obs.Slo.budget_consumed p99_us;
       ];
   Format.printf
     "@.(expected: the burn-rate alert fires during the ramp, the static alert only after\n\

@@ -61,23 +61,18 @@ let table4 () =
    on a single core at light load. *)
 let table5 () =
   Bench_util.header "Table V: MICA / zlib workload configurations, run solo on one core";
-  let run name source rate =
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:1 ~policy:Preemptible.Policy.no_preempt
-        ~mechanism:Preemptible.Server.No_mechanism
-    in
+  let run name src rate =
     let r =
-      Preemptible.Server.run cfg
-        ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-        ~source ~duration_ns:(Bench_util.ms 300)
+      Scenario.run_server
+        (Bench_util.spec_of_string
+           (Printf.sprintf "workers=1; quantum=none; src=%s; arrival=poisson:%.0f; dur=300ms" src
+              rate))
     in
     Format.printf "%-22s rate=%7.0f/s  p50=%8.2fus  p99=%8.2fus  (n=%d)@." name rate
       (r.Preemptible.Server.all.Stat.Summary.p50 /. 1e3)
       (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3)
       r.Preemptible.Server.completed
   in
-  let mica = Workload.Mica.create () in
-  let zlib = Workload.Zlib_be.create () in
-  run "MICA 5/95 skew 0.99" (Workload.Mica.source mica) 100_000.0;
-  run "zlib 25kB" (Workload.Zlib_be.source zlib) 2_000.0;
+  run "MICA 5/95 skew 0.99" "mica" 100_000.0;
+  run "zlib 25kB" "zlib" 2_000.0;
   Format.printf "(paper: MICA median ~1us; zlib median ~100us)@."

@@ -1,140 +1,27 @@
-(* Shared helpers for the reproduction harness. *)
-
-let us = Engine.Units.us
-let ms = Engine.Units.ms
-
-let lc_source dist =
-  Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical
-
-(* The paper's workload set (Sec V-A), as symbolic scenario
-   distributions; the run length (which places workload C's shift)
-   comes from each spec's [dur] field. *)
-let named_workloads =
-  [ ("A1", Scenario.A1); ("A2", Scenario.A2); ("B", Scenario.B); ("C", Scenario.C) ]
-
-(* Peak sustainable rate of [workers] cores for a scenario
-   distribution (ignores overheads; used to place load sweeps): the
-   same number {!Scenario.capacity_rps} resolves [x]-relative rates
-   against.  A phased distribution (workload C) is sized by its slower
-   phase. *)
-let capacity ~dist ~workers ~duration_ns =
-  Scenario.capacity_rps
-    { Scenario.default with Scenario.src = Scenario.Dist (dist, Scenario.Lc); workers; duration_ns }
+(* Shared helpers for the reproduction harness, and the driver that
+   runs every figure: a labelled point list goes through [sweep], comes
+   out as one table, and lands in the report (and, through it, in the
+   LP_BENCH_CSV files) row by row. *)
 
 let spec_of_string text =
   match Scenario.of_string text with
   | Ok s -> s
   | Error e -> invalid_arg ("bench: bad scenario: " ^ Scenario.error_to_string e)
 
-type system = {
-  sys_name : string;
-  spec :
-    rate:float ->
-    dist:Scenario.dist ->
-    duration_ns:int ->
-    warmup_ns:int ->
-    Scenario.t;
-}
-
-let run_system sys ~rate ~dist ~duration_ns ~warmup_ns =
-  Scenario.run_server (sys.spec ~rate ~dist ~duration_ns ~warmup_ns)
-
-(* Fill in the per-point fields a sweep computes (absolute rate,
-   workload, run length) on a system's base scenario. *)
-let at_point base ~rate ~dist ~duration_ns ~warmup_ns =
-  {
-    base with
-    Scenario.src = Scenario.Dist (dist, Scenario.Lc);
-    arrival = Scenario.Poisson (Scenario.Abs rate);
-    duration_ns;
-    warmup_ns;
-  }
-
-(* The four systems of Fig 8, as scenario specs.  Worker budget follows
-   Sec V-A: six hyperthreads total — 1 network + 5 workers for
-   Shinjuku/Libinger, 1 network + 4 workers + 1 timer core for
-   LibPreemptible.  The adaptive hyperparameters follow the paper's
-   note (Sec III-F): the heavy-tail rule reacts fast (k2), the
-   high-load rule gently (k1), so light-tailed workloads keep a lax
-   quantum; maxload is left at "auto" so the controller's reference is
-   the spec's own worker capacity. *)
-let libpreemptible ?(quantum = us 5) ?(adaptive = false) () =
-  {
-    sys_name =
-      (if adaptive then "LibPreemptible(adaptive)"
-       else Printf.sprintf "LibPreemptible(q=%dus)" (quantum / 1000));
-    spec =
-      (fun ~rate ~dist ~duration_ns ~warmup_ns ->
-        let base =
-          if adaptive then
-            spec_of_string
-              "sys=lp; workers=4; window=10ms; quantum=adaptive:20us; \
-               ctl={k1=2us;k2=10us;k3=8us;lhigh=0.95}"
-          else
-            { (spec_of_string "sys=lp; workers=4; window=10ms") with
-              Scenario.quantum = Scenario.Fixed quantum
-            }
-        in
-        at_point base ~rate ~dist ~duration_ns ~warmup_ns);
-  }
-
-let libpreemptible_nouintr ?(quantum = us 5) () =
-  {
-    sys_name = "LibPreemptible(no-UINTR)";
-    spec =
-      (fun ~rate ~dist ~duration_ns ~warmup_ns ->
-        at_point
-          { (spec_of_string "sys=lp-nouintr; workers=4") with
-            Scenario.quantum = Scenario.Fixed quantum
-          }
-          ~rate ~dist ~duration_ns ~warmup_ns);
-  }
-
-let shinjuku ?(quantum = us 5) () =
-  {
-    sys_name = Printf.sprintf "Shinjuku(q=%dus)" (quantum / 1000);
-    spec =
-      (fun ~rate ~dist ~duration_ns ~warmup_ns ->
-        at_point
-          { (spec_of_string "sys=shinjuku; workers=5") with
-            Scenario.quantum = Scenario.Fixed quantum
-          }
-          ~rate ~dist ~duration_ns ~warmup_ns);
-  }
-
-let libinger ?(quantum = us 20) () =
-  {
-    sys_name = Printf.sprintf "Libinger(q=%dus)" (quantum / 1000);
-    spec =
-      (fun ~rate ~dist ~duration_ns ~warmup_ns ->
-        at_point
-          { (spec_of_string "sys=libinger; workers=5") with
-            Scenario.quantum = Scenario.Fixed quantum
-          }
-          ~rate ~dist ~duration_ns ~warmup_ns);
-  }
-
-let no_preempt () =
-  {
-    sys_name = "no-preemption";
-    spec =
-      (fun ~rate ~dist ~duration_ns ~warmup_ns ->
-        at_point
-          (spec_of_string "sys=nopreempt; workers=5; quantum=none")
-          ~rate ~dist ~duration_ns ~warmup_ns);
-  }
-
-(* Environment knobs live in Exec.Env so bench and bin share one
-   definition. *)
-let getenv_nonempty = Exec.Env.getenv_nonempty
+(* Run a single-server spec after record-updating its lowered config,
+   for the knobs the scenario language has no field for (a custom
+   policy, a timer-core poll interval, telemetry). *)
+let run_with spec tweak =
+  Preemptible.Server.run ~warmup_ns:spec.Scenario.warmup_ns
+    (tweak (Scenario.server_config spec))
+    ~arrival:(Scenario.arrival_process spec) ~source:(Scenario.source_sampler spec)
+    ~duration_ns:spec.Scenario.duration_ns
 
 (* Parallel sweep for figure benches.  Tasks must be pure simulations
-   (own Sim/Rng, no printing); callers print from the returned list so
-   output and report points are in submission order at any job count.
-
-   When LP_POOL_TRACE names a file, every pool in the run shares one
-   wall-clock trace ring (per-worker task spans + occupancy counters,
-   category "exec") exported as Perfetto JSON at exit. *)
+   (own Sim/Rng, no printing), so results come back in submission order
+   at any job count.  When LP_POOL_TRACE names a file, every pool in the
+   run shares one wall-clock trace ring (category "exec"), exported as
+   Perfetto JSON at exit. *)
 let pool_trace =
   lazy
     (match Exec.Env.getenv_nonempty "LP_POOL_TRACE" with
@@ -155,20 +42,72 @@ let pool_trace =
 let sweep ?label ~jobs f xs =
   Exec.Sweep.run ?trace:(Lazy.force pool_trace) ?label ~jobs f xs
 
-(* CSV export: when LP_BENCH_CSV names a directory, figure benches also
-   dump their series there for external plotting. *)
-let csv ~name ~header ~rows =
-  match getenv_nonempty "LP_BENCH_CSV" with
-  | None -> ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let oc = open_out (Filename.concat dir (name ^ ".csv")) in
-    output_string oc (header ^ "\n");
-    List.iter (fun row -> output_string oc (row ^ "\n")) rows;
-    close_out oc;
-    Format.printf "(csv: %s/%s.csv)@." dir name
-
 let header title =
   Format.printf "@.==================================================================@.";
   Format.printf "%s@." title;
   Format.printf "==================================================================@."
+
+(* The figure driver. *)
+
+let label key (labels : Figure.labels) = List.assoc key labels
+
+(* The result at the point whose labels agree with [labels] on [keys]
+   and carry [key = value]. *)
+let find results labels ~keys (key, value) =
+  snd
+    (List.find
+       (fun (l, _) ->
+         label key l = value && List.for_all (fun k -> label k l = label k labels) keys)
+       results)
+
+(* Sweep labelled points; results keep their labels, in point order. *)
+let run ~jobs ~label f points =
+  List.combine (List.map fst points) (sweep ~label ~jobs (fun (l, x) -> f l x) points)
+
+let num v = Printf.sprintf (if Float.abs v >= 1e4 then "%.0f" else "%.4g") v
+
+(* One table layout for every figure: label columns, then metric
+   columns, one line per point.  Each row is also a report point, and
+   so a CSV row. *)
+let emit name rows =
+  let lcols, mcols = Bench_report.columns rows in
+  let cells (labels, metrics) =
+    List.map (fun k -> Option.value ~default:"-" (List.assoc_opt k labels)) lcols
+    @ List.map (fun k -> Option.fold ~none:"-" ~some:num (List.assoc_opt k metrics)) mcols
+  in
+  let body = List.map cells rows in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w c -> max w (String.length c)))
+      (List.map String.length (lcols @ mcols))
+      body
+  in
+  let line cs =
+    List.iteri
+      (fun i (w, c) ->
+        if i < List.length lcols then Format.printf "  %-*s" w c else Format.printf "  %*s" w c)
+      (List.combine widths cs);
+    Format.printf "@."
+  in
+  line (lcols @ mcols);
+  List.iter line body;
+  List.iter (fun (labels, metrics) -> Bench_report.point ~fig:name ~labels ~metrics) rows
+
+(* Server metrics of a result that carries a server run. *)
+let server_metrics proj names =
+  List.map (fun m -> (m, fun x -> snd (Figure.server_metric m) (proj x))) names
+
+let rows metrics results =
+  List.map (fun (l, r) -> (l, List.map (fun (k, f) -> (k, f r)) metrics)) results
+
+(* A figure from its own labelled points (not specs): sweep, emit. *)
+let points ~jobs ~name ~metrics f points =
+  let results = run ~jobs ~label:name f points in
+  emit name (rows metrics results);
+  results
+
+(* A figure value: its points, its table, then [hook] (a summary a
+   figure adds over its rows), then its expected shape. *)
+let figure ~jobs ?(hook = ignore) (fig : _ Figure.t) =
+  hook (points ~jobs ~name:fig.name ~metrics:fig.metrics fig.run (Figure.points fig));
+  if fig.expected <> "" then Format.printf "@.%s@." fig.expected

@@ -11,57 +11,44 @@
    an independent simulation with its own seed, and results are merged
    in submission order, so --jobs 8 output is identical to --jobs 1. *)
 
+(* Elements that sweep nothing ignore --jobs. *)
+let plain f ~jobs:_ () = f ()
+
 let elements =
   [
-    ( "--table1",
-      "Table I: thread oversubscription (source data)",
-      fun ~jobs:_ () -> Bench_tables.table1 () );
+    ("--table1", "Table I: thread oversubscription (source data)", plain Bench_tables.table1);
     ("--fig1", "Fig 1: sw/hw IPC gap + preemption overhead vs dispersion", Bench_fig1.run);
     ("--fig2", "Fig 2: p99 vs load across quanta (16 cores)", Bench_fig2.run);
-    ( "--table23",
-      "Tables II/III: integration effort (documented)",
-      fun ~jobs:_ () -> Bench_tables.table23 () );
-    ( "--table4",
-      "Table IV: IPC mechanism overheads",
-      fun ~jobs:_ () -> Bench_tables.table4 () );
+    ("--table23", "Tables II/III: integration effort (documented)", plain Bench_tables.table23);
+    ("--table4", "Table IV: IPC mechanism overheads", plain Bench_tables.table4);
     ("--fig8", "Fig 8: latency vs throughput, 4 systems x 4 workloads", Bench_fig8.run);
     ("--fig9", "Fig 9: SLO violations, static vs adaptive quanta", Bench_fig9.run);
     ("--fig10", "Fig 10: deployment overhead", Bench_fig10.run);
     ("--fig11", "Fig 11: timer delivery scalability", Bench_fig11.run);
     ("--fig12", "Fig 12: timer precision", Bench_fig12.run);
-    ( "--table5",
-      "Table V: MICA / zlib solo latencies",
-      fun ~jobs:_ () -> Bench_tables.table5 () );
+    ("--table5", "Table V: MICA / zlib solo latencies", plain Bench_tables.table5);
     ("--fig13", "Fig 13: colocation, fixed/variable quantum", Bench_fig13.run);
     ("--fig14", "Fig 14: bursty load, dynamic interval", Bench_fig14.run);
     ( "--ablation",
       "Ablations: wheel, controller, poll, disciplines, hw offload",
       Bench_ablation.run );
-    ( "--security",
-      "Sec VII: interrupt-storm DoS scenarios",
-      fun ~jobs:_ () -> Bench_security.run () );
-    ( "--faults",
-      "Resilience: fault-rate sweep, lost-UIPI retry, failover",
-      fun ~jobs:_ () -> Bench_faults.run () );
+    ("--security", "Sec VII: interrupt-storm DoS scenarios", plain Bench_security.run);
+    ("--faults", "Resilience: fault-rate sweep, lost-UIPI retry, failover", plain Bench_faults.run);
     ( "--overload",
       "Overload: goodput past capacity, guard on/off, retry storms",
       Bench_overload.run );
     ( "--cluster",
       "Cluster: fleet size x load balancer sweeps, quanta crossover, stealing",
       Bench_cluster.run );
-    ( "--slo",
-      "SLO telemetry: burn-rate vs static alerts through a flash crowd",
-      Bench_slo.run );
+    ("--slo", "SLO telemetry: burn-rate vs static alerts through a flash crowd", Bench_slo.run);
     ( "--adversarial",
       "Adversarial pack: scenarios/*.scn attacks, defended vs fixed-quantum",
       Bench_adversarial.run );
     ( "--crossval",
       "Cross-validation: sim vs real fiber runtime on matched specs",
-      fun ~jobs:_ () -> Bench_crossval.run () );
-    ("--micro", "Bechamel micro-benchmarks", fun ~jobs:_ () -> Bench_micro.run ());
-    ( "--perf",
-      "Engine hot-path throughput + allocation budget (meta-only)",
-      fun ~jobs:_ () -> Bench_perf.run () );
+      plain Bench_crossval.run );
+    ("--micro", "Bechamel micro-benchmarks", plain Bench_micro.run);
+    ("--perf", "Engine hot-path throughput + allocation budget (meta-only)", plain Bench_perf.run);
   ]
 
 let list_elements () =
@@ -85,17 +72,16 @@ let run_element ~jobs (flag, _, f) =
 (* bench --scenario FILE: parse, validate, run, report. *)
 let run_scenario_file file =
   let spec =
-    match Scenario.of_file file with
+    match
+      Result.bind
+        (Result.map_error Scenario.error_to_string (Scenario.of_file file))
+        (fun s -> Result.map (fun () -> s) (Scenario.validate s))
+    with
     | Ok s -> s
-    | Error e ->
-      Format.printf "%s: %s@." file (Scenario.error_to_string e);
+    | Error msg ->
+      Format.printf "%s: %s@." file msg;
       exit 1
   in
-  (match Scenario.validate spec with
-  | Ok () -> ()
-  | Error msg ->
-    Format.printf "%s: %s@." file msg;
-    exit 1);
   let name = match spec.Scenario.name with Some n -> n | None -> Filename.basename file in
   Format.printf "scenario %s (%s):@.  %s@." name file
     (String.concat "\n  " (String.split_on_char '\n' (Scenario.to_string spec)));
@@ -104,22 +90,13 @@ let run_scenario_file file =
   let metrics =
     match outcome with
     | Scenario.Server r ->
-      [
-        ("p99_us", r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-        ("mean_us", r.Preemptible.Server.all.Stat.Summary.mean /. 1e3);
-        ("completed", float_of_int r.Preemptible.Server.completed);
-        ("offered", float_of_int r.Preemptible.Server.offered);
-        ("preemptions", float_of_int r.Preemptible.Server.preemptions);
-      ]
+      List.map
+        (fun m -> (m, snd (Figure.server_metric m) r))
+        [ "p99_us"; "mean_us"; "completed"; "offered"; "preemptions" ]
     | Scenario.Fleet r ->
-      let f = r.Cluster.fleet in
-      [
-        ("p99_us", f.Cluster.p99_us);
-        ("mean_us", f.Cluster.mean_us);
-        ("completed", float_of_int f.Cluster.completed);
-        ("offered", float_of_int f.Cluster.offered);
-        ("goodput_rps", f.Cluster.goodput_rps);
-      ]
+      List.map
+        (fun m -> (m, snd (Figure.fleet_metric m) r.Cluster.fleet))
+        [ "p99_us"; "mean_us"; "completed"; "offered"; "goodput_rps" ]
   in
   Bench_report.point ~fig:"scenario" ~labels:[ ("scenario", name) ] ~metrics
 

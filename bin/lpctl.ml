@@ -2,16 +2,13 @@
 
      lpctl run scenarios/tail_attack.scn -s seed=7
      lpctl run "arrival=poisson:500000; dur=20ms" --trace trace.json
-     lpctl ipc --n 100000
-     lpctl timer --strategy utimer --threads 32
 
    Every server or fleet simulation is described by a scenario spec
-   (SCENARIOS.md); [run]'s output modes only change what is observed. *)
+   (SCENARIOS.md); [run]'s output modes only change what is observed.
+   The IPC, timer, precision and interrupt-storm experiments are bench
+   elements (--table4, --fig11, --fig12, --security). *)
 
 open Cmdliner
-
-let us = Engine.Units.us
-let ms = Engine.Units.ms
 
 let fail fmt =
   Printf.ksprintf
@@ -202,18 +199,16 @@ let run_observed spec ~trace ~top ~metrics_out =
     trace
 
 (* A valid spec can still measure no completion: too little load for its
-   duration, or a warmup that covers every arrival.  The layers below
-   raise on that (Summary.report's "no data", the runners' "no measured
-   completions"); report it as one error line instead of a crash. *)
+   duration, or a warmup that covers every arrival.  Every runner raises
+   [Failure] with "no measured completions" on that; report it as one
+   error line instead of a crash. *)
 let reporting_no_completions f =
   let mentions sub m =
     let n = String.length sub in
     let rec at i = i + n <= String.length m && (String.sub m i n = sub || at (i + 1)) in
     at 0
   in
-  try f ()
-  with (Invalid_argument m | Failure m)
-  when mentions "no data" m || mentions "no measured completions" m ->
+  try f () with Failure m when mentions "no measured completions" m ->
     fail "lpctl: the run measured no completions (%s); offer more load, a longer dur or a \
           shorter warmup"
       m
@@ -351,109 +346,7 @@ let run_cmd =
          ])
     Term.(const run_scenario $ scenario $ sets $ print_only $ rt $ trace $ top $ metrics_out)
 
-(* ------------------------------------------------------------------ *)
-(* ipc                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let ipc n =
-  List.iter
-    (fun mech -> Format.printf "%a@." Ksim.Ipc.pp_result (Ksim.Ipc.run_pingpong mech ~n))
-    Ksim.Ipc.all
-
-let ipc_cmd =
-  let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"ping-pong round trips") in
-  Cmd.v (Cmd.info "ipc" ~doc:"Table IV: IPC mechanism ping-pong") Term.(const ipc $ n)
-
-(* ------------------------------------------------------------------ *)
-(* timer                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let timer strategy threads interval_us rounds =
-  let strat =
-    match strategy with
-    | "creation" -> Baselines.Timer_strategies.Creation_time
-    | "staggered" -> Baselines.Timer_strategies.Staggered
-    | "chained" -> Baselines.Timer_strategies.Chained
-    | "utimer" -> Baselines.Timer_strategies.Userspace_timer
-    | s -> fail "unknown strategy %S (creation|staggered|chained|utimer)" s
-  in
-  let r =
-    Baselines.Timer_strategies.delivery_overhead strat ~threads ~interval_ns:(us interval_us)
-      ~rounds
-  in
-  Format.printf "%s threads=%d mean=%.2fus p99=%.2fus max=%.2fus@."
-    r.Baselines.Timer_strategies.strategy threads r.Baselines.Timer_strategies.mean_overhead_us
-    r.Baselines.Timer_strategies.p99_overhead_us r.Baselines.Timer_strategies.max_overhead_us
-
-let timer_cmd =
-  let strategy =
-    Arg.(value & opt string "utimer" & info [ "strategy" ] ~doc:"creation|staggered|chained|utimer")
-  in
-  let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"timer-armed threads") in
-  let interval = Arg.(value & opt int 100 & info [ "interval" ] ~doc:"timer interval, us") in
-  let rounds = Arg.(value & opt int 1000 & info [ "rounds" ] ~doc:"measured firings per thread") in
-  Cmd.v
-    (Cmd.info "timer" ~doc:"Fig 11: timer delivery overhead for one strategy")
-    Term.(const timer $ strategy $ threads $ interval $ rounds)
-
-(* ------------------------------------------------------------------ *)
-(* precision                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let precision source_s threads target_us samples =
-  let source =
-    match source_s with
-    | "kernel" -> `Kernel_timer
-    | "utimer" -> `Utimer
-    | s -> fail "unknown source %S (kernel|utimer)" s
-  in
-  let r =
-    Baselines.Timer_strategies.precision source ~threads ~target_ns:(us target_us) ~samples
-  in
-  Format.printf "%s target=%dus mean=%.2fus std=%.2fus p99=%.2fus rel.err=%.1f%%@."
-    r.Baselines.Timer_strategies.source target_us r.Baselines.Timer_strategies.mean_gap_us
-    r.Baselines.Timer_strategies.std_gap_us r.Baselines.Timer_strategies.p99_gap_us
-    (100.0 *. r.Baselines.Timer_strategies.rel_error)
-
-let precision_cmd =
-  let source = Arg.(value & opt string "utimer" & info [ "source" ] ~doc:"kernel|utimer") in
-  let threads = Arg.(value & opt int 26 & info [ "threads" ] ~doc:"concurrent timer users") in
-  let target = Arg.(value & opt int 20 & info [ "target" ] ~doc:"target interval, us") in
-  let samples = Arg.(value & opt int 5000 & info [ "samples" ] ~doc:"measured gaps") in
-  Cmd.v
-    (Cmd.info "precision" ~doc:"Fig 12: timer precision")
-    Term.(const precision $ source $ threads $ target $ samples)
-
-(* ------------------------------------------------------------------ *)
-(* attack                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let attack scenario_s storm victim_rate duration_ms =
-  let scenario =
-    match scenario_s with
-    | "native" -> Baselines.Attack.Native_uintr_storm
-    | "libpreemptible" | "lp" -> Baselines.Attack.Libpreemptible_storm
-    | "apic" -> Baselines.Attack.Shinjuku_apic_storm
-    | s -> fail "unknown scenario %S (native|lp|apic)" s
-  in
-  let r =
-    Baselines.Attack.run scenario ~storm_per_sec:storm ~victim_rate
-      ~duration_ns:(ms duration_ms)
-  in
-  Format.printf "%a@." Baselines.Attack.pp_result r
-
-let attack_cmd =
-  let scenario = Arg.(value & opt string "native" & info [ "scenario" ] ~doc:"native|lp|apic") in
-  let storm = Arg.(value & opt float 1_000_000.0 & info [ "storm" ] ~doc:"interrupts/s") in
-  let victim = Arg.(value & opt float 300_000.0 & info [ "victim-rate" ] ~doc:"requests/s") in
-  let duration = Arg.(value & opt int 100 & info [ "duration" ] ~doc:"ms") in
-  Cmd.v
-    (Cmd.info "attack" ~doc:"Sec VII: interrupt-storm DoS against a victim core")
-    Term.(const attack $ scenario $ storm $ victim $ duration)
-
 let () =
   let doc = "LibPreemptible reproduction: custom simulation runs" in
   exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "lpctl" ~doc)
-          [ run_cmd; ipc_cmd; timer_cmd; precision_cmd; attack_cmd ]))
+    (Cmd.eval (Cmd.group (Cmd.info "lpctl" ~doc) [ run_cmd ]))

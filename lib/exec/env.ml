@@ -1,21 +1,10 @@
-(* Process-environment and seeding helpers shared by the bench harness
-   and the command-line tools. *)
+(* Process-environment and clock helpers for the bench harness and the
+   sweep pool. *)
 
 (* An empty value means unset: a cleared variable in CI should behave
    like an absent one. *)
 let getenv_nonempty name =
   match Sys.getenv_opt name with None | Some "" -> None | Some v -> Some v
-
-(* Derive the seed for task [index] of a sweep from the sweep's base
-   seed.  The derivation is a pure function of (seed, index) — never of
-   completion order — so a parallel sweep and a sequential sweep hand
-   every task the same RNG stream. *)
-let task_seed ~seed ~index =
-  if index < 0 then invalid_arg "Env.task_seed: negative index";
-  let salted =
-    Int64.logxor seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1)))
-  in
-  Engine.Rng.bits64 (Engine.Rng.create salted)
 
 (* Wall-clock nanoseconds since an arbitrary origin; only ever used for
    pool bookkeeping (occupancy spans, busy time), never for simulation

@@ -21,27 +21,3 @@ let run ?trace ?label ~jobs f xs =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () -> Pool.run_all pool (List.map (fun x () -> f x) xs))
-
-(* Per-task seeds for sweeps that want distinct streams per point:
-   derived from (seed, index) alone, so any worker count sees the same
-   assignment. *)
-let seeds ~seed n = List.init n (fun index -> Env.task_seed ~seed ~index)
-
-(* Fan a sweep out and fold the per-point summaries into one.  The
-   merge is associative (tested), so the fold order — submission
-   order — gives one canonical result. *)
-let summaries ?trace ?label ~jobs f xs =
-  let parts = run ?trace ?label ~jobs f xs in
-  let dst = Stat.Summary.create () in
-  List.iter (fun src -> Stat.Summary.merge_into ~dst ~src) parts;
-  dst
-
-let timeseries ?trace ?label ~jobs f xs =
-  let parts = run ?trace ?label ~jobs f xs in
-  match parts with
-  | [] -> invalid_arg "Sweep.timeseries: empty sweep"
-  | first :: rest ->
-    let dst = Stat.Timeseries.create ~window_ns:(Stat.Timeseries.window_ns first) in
-    Stat.Timeseries.merge_into ~dst ~src:first;
-    List.iter (fun src -> Stat.Timeseries.merge_into ~dst ~src) rest;
-    dst

@@ -17,30 +17,3 @@ val run :
 (** [run ~jobs f xs] maps [f] over [xs] using at most [jobs] workers,
     returning results in the order of [xs].  [jobs] is clamped to at
     least 1; empty and singleton sweeps never build a pool. *)
-
-val seeds : seed:int64 -> int -> int64 list
-(** [seeds ~seed n] derives [n] per-point seeds from [(seed, index)]
-    alone (via {!Env.task_seed}), so any worker count sees the same
-    assignment. *)
-
-val summaries :
-  ?trace:Obs.Trace.t ->
-  ?label:string ->
-  jobs:int ->
-  ('a -> Stat.Summary.t) ->
-  'a list ->
-  Stat.Summary.t
-(** Fan a sweep out and fold the per-point summaries into one.  The
-    merge is associative (tested), so the fold order — submission
-    order — gives one canonical result. *)
-
-val timeseries :
-  ?trace:Obs.Trace.t ->
-  ?label:string ->
-  jobs:int ->
-  ('a -> Stat.Timeseries.t) ->
-  'a list ->
-  Stat.Timeseries.t
-(** Like {!summaries} for windowed timeseries; all points must share
-    the first point's window width.
-    @raise Invalid_argument on an empty sweep. *)

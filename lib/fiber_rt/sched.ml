@@ -82,6 +82,8 @@ let run ~workers ?quantum_ns ?(warmup_ns = 0) (schedule : item array) =
   let wall_ns = Deadline_clock.now_ns clk - t0 in
   let st = Pool.stats pool in
   Pool.shutdown pool;
+  if Stat.Summary.count s_all = 0 then
+    failwith "Sched.run: no measured completions (warmup too long or load too low)";
   {
     offered = Array.length schedule;
     completed = Array.fold_left ( + ) 0 st.Pool.executed;

@@ -32,6 +32,7 @@ val run : workers:int -> ?quantum_ns:int -> ?warmup_ns:int -> item array -> resu
     would for an open-loop client.  Items with [at_ns < warmup_ns]
     execute but are excluded from the latency reports.  Omitting
     [quantum_ns] disables preemption.  Raises [Invalid_argument] on
-    negative arrival or service times. *)
+    negative arrival or service times, and [Failure] ("no measured
+    completions") when no item at or after [warmup_ns] completed. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -1198,6 +1198,8 @@ let finish st =
          "Server.run: event cap (%d) hit with %d requests outstanding — raise max_events \
           or lower the load"
          cfg.max_events st.outstanding);
+  if st.measured_completed = 0 then
+    failwith "Server.run: no measured completions (warmup too long or load too low)";
   let measured_ns = duration_ns - st.warmup_ns in
   let final = Engine.Sim.now sim in
   let busy = Array.fold_left (fun acc w -> acc + Hw.Core.busy_ns w.core) 0 st.workers in
@@ -1270,10 +1272,7 @@ let run_with ~probes ~warmup_ns cfg ~feed ~duration_ns =
   feed st;
   start st;
   Engine.Sim.run ~max_events:cfg.max_events sim;
-  let r = finish st in
-  if r.completed = 0 then
-    failwith "Server.run: no measured completions (warmup too long or load too low)";
-  r
+  finish st
 
 let run ?(probes = no_probes) ?(warmup_ns = 0) cfg ~arrival ~source ~duration_ns =
   run_with ~probes ~warmup_ns cfg ~feed:(fun st -> arrivals st ~arrival ~source) ~duration_ns

@@ -199,8 +199,9 @@ val run :
 (** Simulate the server under an open-loop arrival stream for
     [duration_ns]; arrivals then stop and the system drains.  Requests
     arriving in [warmup_ns, duration_ns) are measured.  Raises
-    [Invalid_argument] on inconsistent parameters and [Failure] if the
-    event cap is hit before the system drains. *)
+    [Invalid_argument] on inconsistent parameters, and [Failure] if the
+    event cap is hit before the system drains or if no measured request
+    completes (the message then says "no measured completions"). *)
 
 val run_trace :
   ?probes:probes ->
@@ -276,4 +277,5 @@ val steal_from : victim:t -> thief:t -> max:int -> int
 
 val finish : t -> result
 (** Collect the result after the shared engine drained.  Raises
-    [Failure] when requests are still outstanding (event cap hit). *)
+    [Failure] when requests are still outstanding (event cap hit) or no
+    measured request completed. *)

@@ -18,8 +18,6 @@ let bucket_for t time =
     Hashtbl.add t.table key b;
     b
 
-let window_ns t = t.window_ns
-
 let record t ~time v =
   let b = bucket_for t time in
   b.count <- b.count + 1;
@@ -43,21 +41,3 @@ let points t =
   |> List.sort (fun a b -> compare a.t_start b.t_start)
 
 let rate_per_sec p ~window_ns = float_of_int p.count *. 1e9 /. float_of_int window_ns
-
-(* Bucket-wise merge of two series with the same window.  Used when a
-   sweep shards one logical time axis across parallel tasks: counts and
-   sums add, maxima take the max, so merged points equal the points of
-   a single series that saw every sample. *)
-let merge_into ~dst ~src =
-  if dst.window_ns <> src.window_ns then
-    invalid_arg "Timeseries.merge_into: window mismatch";
-  Hashtbl.iter
-    (fun key (b : bucket) ->
-      match Hashtbl.find_opt dst.table key with
-      | Some d ->
-        d.count <- d.count + b.count;
-        d.sum <- d.sum +. b.sum;
-        if b.max > d.max then d.max <- b.max
-      | None ->
-        Hashtbl.add dst.table key { count = b.count; sum = b.sum; max = b.max })
-    src.table

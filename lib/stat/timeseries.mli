@@ -29,12 +29,3 @@ val points : t -> point list
 
 val rate_per_sec : point -> window_ns:int -> float
 (** Events per second represented by a counting-window point. *)
-
-val window_ns : t -> int
-(** The bucket width the series was created with. *)
-
-val merge_into : dst:t -> src:t -> unit
-(** Bucket-wise merge: counts and sums add, maxima take the max.
-    Raises [Invalid_argument] when the windows differ.  Associative and
-    commutative, so sharded sweeps can fold partial series in any
-    grouping and land on the same points. *)

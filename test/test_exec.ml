@@ -202,47 +202,9 @@ let qcheck_summary_merge_assoc =
       && Float.abs (left.Stat.Summary.mean -. right.Stat.Summary.mean)
          <= 1e-9 *. Float.abs left.Stat.Summary.mean)
 
-let test_sweep_summaries () =
-  let chunks = [ [ 1.0; 2.0 ]; [ 3.0 ]; [ 4.0; 5.0; 6.0 ] ] in
-  let merged = Exec.Sweep.summaries ~jobs:2 summary_of chunks in
-  let direct = summary_of [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 ] in
-  check_int "count" (Stat.Summary.count direct) (Stat.Summary.count merged);
-  check_bool "same p50" true
-    ((Stat.Summary.report merged).Stat.Summary.p50
-    = (Stat.Summary.report direct).Stat.Summary.p50)
-
-let test_timeseries_merge () =
-  let mk values =
-    let ts = Stat.Timeseries.create ~window_ns:100 in
-    List.iter (fun (t, v) -> Stat.Timeseries.record ts ~time:t v) values;
-    ts
-  in
-  let merged =
-    Exec.Sweep.timeseries ~jobs:2 mk
-      [ [ (10, 1.0); (250, 3.0) ]; [ (20, 5.0); (110, 7.0) ] ]
-  in
-  let direct = mk [ (10, 1.0); (250, 3.0); (20, 5.0); (110, 7.0) ] in
-  check_bool "same points" true
-    (Stat.Timeseries.points merged = Stat.Timeseries.points direct);
-  (* window mismatch must be rejected, not silently misaligned *)
-  let a = Stat.Timeseries.create ~window_ns:100 in
-  let b = Stat.Timeseries.create ~window_ns:200 in
-  match Stat.Timeseries.merge_into ~dst:a ~src:b with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------ *)
-(* Seeding / env helpers                                               *)
+(* Env helpers                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_task_seed_deterministic () =
-  let s1 = Exec.Sweep.seeds ~seed:42L 16 in
-  let s2 = Exec.Sweep.seeds ~seed:42L 16 in
-  check_bool "same seed, same streams" true (s1 = s2);
-  let distinct = List.sort_uniq compare s1 in
-  check_int "all distinct" 16 (List.length distinct);
-  let other = Exec.Sweep.seeds ~seed:43L 16 in
-  check_bool "different base seed diverges" true (s1 <> other)
 
 let test_getenv_nonempty () =
   Unix.putenv "LP_TEST_ENV_X" "";
@@ -267,13 +229,10 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_sweep_is_map;
         Alcotest.test_case "server sweep: parallel = sequential" `Quick
           test_sweep_real_sim_parallel_eq_sequential;
-        Alcotest.test_case "summaries fold" `Quick test_sweep_summaries;
-        Alcotest.test_case "timeseries merge" `Quick test_timeseries_merge;
       ] );
     ( "exec.env",
       [
         QCheck_alcotest.to_alcotest qcheck_summary_merge_assoc;
-        Alcotest.test_case "task seeds deterministic" `Quick test_task_seed_deterministic;
         Alcotest.test_case "getenv_nonempty" `Quick test_getenv_nonempty;
       ] );
   ]

@@ -6,4 +6,4 @@ let () =
    @ Test_integration.suites @ Test_properties.suites @ Test_edge.suites
    @ Test_cluster.suites @ Test_obs.suites @ Test_telemetry.suites @ Test_exec.suites
    @ Test_scenario.suites @ Test_spmc.suites @ Test_rt_sched.suites
-   @ Test_crossval.suites @ Test_cli.suites)
+   @ Test_crossval.suites @ Test_cli.suites @ Test_figure.suites)

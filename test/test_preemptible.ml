@@ -435,6 +435,27 @@ let test_server_validation () =
            ~arrival:(Workload.Arrival.poisson ~rate_per_sec:1_000.0)
            ~source:a1_source ~duration_ns:1_000))
 
+(* A valid run that measures no completion (one expected arrival in
+   five) fails with the message callers match on, not with an empty
+   summary's "no data". *)
+let test_server_no_completions () =
+  let cfg =
+    Server.default_config ~n_workers:1
+      ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:5_000)
+      ~mechanism:(Server.Uintr_utimer Utimer.default_config)
+  in
+  Alcotest.check_raises "no measured completions"
+    (Failure "Server.run: no measured completions (warmup too long or load too low)")
+    (fun () ->
+      ignore
+        (Server.run cfg
+           ~arrival:(Workload.Arrival.poisson ~rate_per_sec:10.0)
+           ~source:
+             (Workload.Source.of_dist
+                (Workload.Service_dist.exponential ~mean_ns:(Units.ms 1))
+                ~cls:Workload.Request.Latency_critical)
+           ~duration_ns:(Units.ms 20)))
+
 let test_server_srpt_oracle_beats_fcfs () =
   (* With oracle service times, SRPT ordering of fresh requests improves
      the tail on the heavy-tailed workload at high load. *)
@@ -741,6 +762,7 @@ let suites =
         Alcotest.test_case "srpt oracle" `Slow test_server_srpt_oracle_beats_fcfs;
         Alcotest.test_case "edf discipline" `Slow test_server_edf_orders_by_deadline;
         Alcotest.test_case "slo cancellation" `Slow test_server_cancellation;
+        Alcotest.test_case "no completions" `Quick test_server_no_completions;
         Alcotest.test_case "trace: single exact" `Quick test_trace_single_request_exact;
         Alcotest.test_case "trace: fifo exact" `Quick test_trace_fifo_ordering_exact;
         Alcotest.test_case "trace: preemption reorders" `Quick test_trace_preemption_reorders;
