@@ -23,8 +23,9 @@ let left = side "left" ~krps:[ 35; 45; 55; 65 ] ~quanta:[ 30 ] ""
 
 let right =
   side "right" ~krps:[ 55 ] ~quanta:[ 5; 10; 20; 30; 50 ]
-    "(expected: 30us quantum cuts LC p99 ~3-4x with a modest BE penalty; 5us cuts\n\
-    \ it ~18x at ~2x BE cost — the paper's latency/throughput trade-off)"
+    "(expected: 30us quantum cuts LC p99 4.0-4.6x across loads at 1.1-1.3x BE p99; 5us\n\
+    \ cuts it ~18x at 1.14x BE p50 and 1.29x BE p99 — the paper's latency/throughput\n\
+    \ trade-off, with a smaller BE cost than the paper's ~2x)"
 
 (* What the figure's conclusion rests on: each quantum against no
    preemption at the same load. *)

@@ -14,7 +14,7 @@ open Toolkit
 let test_event_heap =
   Test.make ~name:"fig2/8: event_heap push+pop"
     (Staged.stage (fun () ->
-         let h = Engine.Event_heap.create ~dummy:0 () in
+         let h = Engine.Event_heap.create () in
          for i = 0 to 63 do
            Engine.Event_heap.add h ~time:((i * 7919) mod 1021) ~seq:i i
          done;

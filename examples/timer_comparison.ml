@@ -34,4 +34,5 @@ let () =
         r.Ts.source (target / 1000) r.Ts.mean_gap_us r.Ts.std_gap_us (100.0 *. r.Ts.rel_error))
     [ (`Kernel_timer, us 100); (`Kernel_timer, us 20); (`Utimer, us 100); (`Utimer, us 20) ];
   Format.printf
-    "@.the kernel timer cannot honour a 20us period (floor ~60us); LibUtimer stays ~1%%@."
+    "@.the kernel timer cannot honour a 20us period (mean ~68us); LibUtimer's mean period \
+     matches the target@."

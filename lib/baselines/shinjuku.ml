@@ -32,7 +32,7 @@ type item = New of Workload.Request.t | Requeued of Preemptible.Fn.t
 type worker = {
   wid : int;
   core : Hw.Core.t;
-  ipi : Hw.Ipi.target;
+  k_ipi : unit -> unit; (* preallocated: post this worker's IPI *)
   mutable current : Preemptible.Fn.t option;
   mutable deadline : int;
   mutable ipi_pending : bool;
@@ -65,7 +65,7 @@ type st = {
   mutable spurious : int;
   mutable ipis_sent : int;
   mutable next_id : int;
-  mutable window_ev : Engine.Sim.event option;
+  mutable k_dispatch : unit -> unit; (* preallocated: the next loop iteration *)
 }
 
 let now st = Engine.Sim.now st.sim
@@ -140,61 +140,70 @@ let start_on_worker st w fn =
 (* Dispatcher loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec dispatcher_iteration st =
+(* The dispatcher's two scans are top-level functions threading the
+   iteration's running cost, and its continuations are preallocated, so
+   an iteration that finds nothing to do allocates nothing (DESIGN §9). *)
+
+(* Post an IPI to every worker past its quantum. *)
+let scan_overruns st t cost =
+  let cost = ref cost in
+  for i = 0 to Array.length st.workers - 1 do
+    let w = st.workers.(i) in
+    cost := !cost + st.cfg.per_worker_check_ns;
+    match w.current with
+    | Some _
+      when Hw.Core.busy w.core && (not w.ipi_pending) && t >= w.deadline
+           && w.deadline <> max_int ->
+      w.ipi_pending <- true;
+      st.ipis_sent <- st.ipis_sent + 1;
+      cost := !cost + Hw.Ipi.send_cost_ns st.ipi_fabric;
+      ignore (Engine.Sim.at st.sim (t + !cost) w.k_ipi : Engine.Sim.event)
+    | Some _ | None -> ()
+  done;
+  !cost
+
+(* Hand queued work to idle workers. *)
+let assign_idle st t cost =
+  let cost = ref cost in
+  for i = 0 to Array.length st.workers - 1 do
+    let w = st.workers.(i) in
+    if w.current = None && (not w.starting) && not (Preemptible.Rqueue.is_empty st.central_q)
+    then begin
+      match Preemptible.Rqueue.pop st.central_q ~now:t with
+      | None -> ()
+      | Some item ->
+        cost := !cost + st.cfg.assign_cost_ns;
+        let start_at = t + !cost in
+        w.starting <- true;
+        (match item with
+        | New req ->
+          let ctx = Preemptible.Context.alloc st.pool in
+          let fn = Preemptible.Fn.create req ~ctx in
+          w.current <- Some fn;
+          ignore
+            (Engine.Sim.at st.sim start_at (fun () ->
+                 w.starting <- false;
+                 Preemptible.Fn.launch fn ~now:(now st) ~quantum_ns:st.cfg.quantum_ns;
+                 start_on_worker st w fn))
+        | Requeued fn ->
+          w.current <- Some fn;
+          let resume_at = start_at + st.cfg.costs.Ksim.Costs.fcontext_swap_ns in
+          ignore
+            (Engine.Sim.at st.sim resume_at (fun () ->
+                 w.starting <- false;
+                 Preemptible.Fn.resume fn ~now:(now st) ~quantum_ns:st.cfg.quantum_ns;
+                 start_on_worker st w fn)))
+    end
+  done;
+  !cost
+
+let dispatcher_iteration st =
   if st.outstanding = 0 then st.loop_running <- false
   else begin
     let t = now st in
-    let cost = ref st.cfg.loop_base_ns in
-    (* Scan workers for quantum overruns. *)
-    Array.iter
-      (fun w ->
-        cost := !cost + st.cfg.per_worker_check_ns;
-        match w.current with
-        | Some _
-          when Hw.Core.busy w.core && (not w.ipi_pending) && t >= w.deadline
-               && w.deadline <> max_int ->
-          w.ipi_pending <- true;
-          st.ipis_sent <- st.ipis_sent + 1;
-          cost := !cost + Hw.Ipi.send_cost_ns st.ipi_fabric;
-          let send_at = t + !cost in
-          let target = w.ipi in
-          ignore (Engine.Sim.at st.sim send_at (fun () -> Hw.Ipi.send st.ipi_fabric target))
-        | Some _ | None -> ())
-      st.workers;
-    (* Hand queued work to idle workers. *)
-    Array.iter
-      (fun w ->
-        if
-          w.current = None && (not w.starting)
-          && not (Preemptible.Rqueue.is_empty st.central_q)
-        then begin
-          match Preemptible.Rqueue.pop st.central_q ~now:t with
-          | None -> ()
-          | Some item ->
-            cost := !cost + st.cfg.assign_cost_ns;
-            let start_at = t + !cost in
-            w.starting <- true;
-            (match item with
-            | New req ->
-              let ctx = Preemptible.Context.alloc st.pool in
-              let fn = Preemptible.Fn.create req ~ctx in
-              w.current <- Some fn;
-              ignore
-                (Engine.Sim.at st.sim start_at (fun () ->
-                     w.starting <- false;
-                     Preemptible.Fn.launch fn ~now:(now st) ~quantum_ns:st.cfg.quantum_ns;
-                     start_on_worker st w fn))
-            | Requeued fn ->
-              w.current <- Some fn;
-              let resume_at = start_at + st.cfg.costs.Ksim.Costs.fcontext_swap_ns in
-              ignore
-                (Engine.Sim.at st.sim resume_at (fun () ->
-                     w.starting <- false;
-                     Preemptible.Fn.resume fn ~now:(now st) ~quantum_ns:st.cfg.quantum_ns;
-                     start_on_worker st w fn)))
-          end)
-      st.workers;
-    ignore (Engine.Sim.after st.sim !cost (fun () -> dispatcher_iteration st))
+    let cost = scan_overruns st t st.cfg.loop_base_ns in
+    let cost = assign_idle st t cost in
+    ignore (Engine.Sim.after st.sim cost st.k_dispatch : Engine.Sim.event)
   end
 
 let kick_dispatcher st =
@@ -233,17 +242,18 @@ let arrivals st ~arrival ~source =
   in
   next_arrival ()
 
+(* Rolls the window until the system has drained; nothing cancels it. *)
 let window_loop st window_ns =
   let rec tick () =
-    st.window_ev <-
-      Some
-        (Engine.Sim.after st.sim window_ns (fun () ->
-             if not (st.arrivals_done && st.outstanding = 0) then begin
-               let t = now st in
-               let snapshot = Preemptible.Stats_window.roll st.window ~now:t in
-               st.probes.Preemptible.Server.on_window snapshot ~quantum_ns:st.cfg.quantum_ns;
-               tick ()
-             end))
+    ignore
+      (Engine.Sim.after st.sim window_ns (fun () ->
+           if not (st.arrivals_done && st.outstanding = 0) then begin
+             let t = now st in
+             let snapshot = Preemptible.Stats_window.roll st.window ~now:t in
+             st.probes.Preemptible.Server.on_window snapshot ~quantum_ns:st.cfg.quantum_ns;
+             tick ()
+           end)
+        : Engine.Sim.event)
   in
   tick ()
 
@@ -288,18 +298,20 @@ let run ?(probes = Preemptible.Server.no_probes) ?(warmup_ns = 0) cfg ~arrival ~
       spurious = 0;
       ipis_sent = 0;
       next_id = 0;
-      window_ev = None;
+      k_dispatch = ignore;
     }
   in
+  st.k_dispatch <- (fun () -> dispatcher_iteration st);
   st.workers <-
     Array.init cfg.n_workers (fun wid ->
         let wref = ref None in
         let handler () = match !wref with Some w -> on_ipi st w () | None -> () in
+        let ipi = Hw.Ipi.register ipi_fabric ~handler in
         let w =
           {
             wid;
             core = Hw.Core.create sim ~id:wid;
-            ipi = Hw.Ipi.register ipi_fabric ~handler;
+            k_ipi = (fun () -> Hw.Ipi.send ipi_fabric ipi);
             current = None;
             deadline = max_int;
             ipi_pending = false;
@@ -311,7 +323,6 @@ let run ?(probes = Preemptible.Server.no_probes) ?(warmup_ns = 0) cfg ~arrival ~
   arrivals st ~arrival ~source;
   window_loop st (Engine.Units.ms 100);
   Engine.Sim.run ~max_events:cfg.max_events sim;
-  (match st.window_ev with Some ev -> Engine.Sim.cancel ev | None -> ());
   if st.outstanding > 0 then
     failwith
       (Printf.sprintf "Shinjuku.run: event cap (%d) hit with %d requests outstanding"

@@ -1,9 +1,13 @@
-(** Flat-array 4-ary min-heap keyed by [(time, seq)].
+(** Indexed 4-ary min-heap of int ids keyed by [(time, seq)].
 
-    The backbone of the event queue.  Keys are stored in two parallel
-    unboxed [int] arrays and payloads in a third array, so pushing and
-    popping entries allocates nothing — there is no per-entry record or
-    option box on the hot path (see {e DESIGN §9} for the performance
+    The backbone of the event queue.  An entry is a small non-negative
+    [int] id (the owner's name for a payload it keeps elsewhere — {!Sim}
+    uses it as a slot in its slab of event records).  Keys and ids are
+    stored in unboxed [int] arrays, and a second [int] array maps each
+    id to its position, so every heap operation moves only ints: it
+    allocates nothing (outside array growth) and never hits the write
+    barrier, and {!remove} takes an entry out at once instead of
+    leaving a dead one behind (see {e DESIGN §9} for the performance
     model).
 
     Ordering is lexicographic on [(time, seq)]: entries with equal
@@ -12,39 +16,47 @@
     events fire in scheduling order — the determinism contract every
     figure in the reproduction relies on. *)
 
-type 'a t
+type t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] is an empty heap.  [dummy] fills vacated payload
-    slots so popped values are not retained; it is never returned.
-    [capacity] (default 64) is the initial backing-array size; the heap
-    grows by doubling. *)
+val create : ?capacity:int -> unit -> t
+(** [create ()] is an empty heap.  [capacity] (default 64) is the
+    initial size of the backing arrays; they grow by doubling. *)
 
-val size : 'a t -> int
+val size : t -> int
 (** Number of entries currently stored. O(1). *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val add : 'a t -> time:int -> seq:int -> 'a -> unit
-(** Insert an entry. O(log₄ n) amortized; allocates only when the
-    backing arrays grow. *)
+val add : t -> time:int -> seq:int -> int -> unit
+(** [add t ~time ~seq id] inserts [id].  O(log₄ n), allocates only when
+    the backing arrays grow.  Raises [Invalid_argument] if [id] is
+    negative or already in the heap. *)
+
+val mem : t -> int -> bool
+(** [mem t id] is true while [id] is in the heap. O(1). *)
+
+val remove : t -> int -> unit
+(** [remove t id] takes [id] out of the heap. O(log₄ n),
+    allocation-free.  Raises [Invalid_argument] if [id] is not in the
+    heap. *)
+
+val time_of : t -> int -> int
+(** Key time of an id in the heap; raises [Invalid_argument] if [id]
+    is not in the heap. *)
 
 (** {1 Zero-allocation access}
 
-    The four accessors below are the engine's hot path.  They are
+    The three accessors below are the engine's hot path.  They are
     undefined on an empty heap (asserted in debug builds): guard with
     {!is_empty}. *)
 
-val min_time : 'a t -> int
+val min_time : t -> int
 (** Timestamp of the smallest entry. *)
 
-val min_seq : 'a t -> int
-(** Sequence number of the smallest entry. *)
+val min_id : t -> int
+(** Id of the smallest entry, without removing it. *)
 
-val min_value : 'a t -> 'a
-(** Payload of the smallest entry, without removing it. *)
-
-val drop_min : 'a t -> unit
+val drop_min : t -> unit
 (** Remove the smallest entry. O(log₄ n), allocation-free. *)
 
 (** {1 Allocating conveniences}
@@ -52,11 +64,11 @@ val drop_min : 'a t -> unit
     Option/tuple-returning wrappers, used by tests and model oracles;
     the simulator itself never calls them. *)
 
-val peek : 'a t -> (int * int * 'a) option
-(** Smallest [(time, seq, value)] without removing it. *)
+val peek : t -> (int * int * int) option
+(** Smallest [(time, seq, id)] without removing it. *)
 
-val pop : 'a t -> (int * int * 'a) option
+val pop : t -> (int * int * int) option
 (** Remove and return the smallest entry. *)
 
-val clear : 'a t -> unit
-(** Drop every entry (payload slots are reset to [dummy]). *)
+val clear : t -> unit
+(** Drop every entry. *)

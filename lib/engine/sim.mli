@@ -12,18 +12,21 @@
 
     {2 Allocation discipline and handle lifetime}
 
-    Scheduling is allocation-free: event records are recycled through
-    an internal free list (DESIGN §9), so an {!event} handle is only
+    Scheduling is allocation-free: event records live in a slab and
+    are recycled by id (DESIGN §9), so an {!event} handle is only
     meaningful {e while its event is still pending}.  The moment the
-    event fires — or, after {!cancel}, the moment the queue discards
-    it — the record may be reused for a new event, and the old handle
-    aliases the new one.  Concretely:
+    event fires or is cancelled, its record may be reused for the next
+    event scheduled, and the old handle aliases the new one.
+    Concretely:
 
-    - call {!cancel} only on events that have not fired;
-    - drop (or overwrite) stored handles as the {e first} action of the
-      event's own callback, before scheduling anything new;
+    - call {!cancel} only on events that have neither fired nor been
+      cancelled; a second {!cancel} is a no-op only until the next
+      {!at}/{!after}, which may reuse the record;
+    - drop (or overwrite with {!null}) stored handles as the
+      {e first} action of the event's own callback, and right after
+      cancelling them, before scheduling anything new;
     - never consult {!is_pending}/{!time_of} on a handle kept across
-      its own firing.
+      its own firing or cancellation.
 
     Every component in this repository follows the discipline; it is
     only observable to code that squirrels handles away. *)
@@ -56,38 +59,34 @@ val fork_rng : t -> Rng.t
 
 val at : t -> int -> (unit -> unit) -> event
 (** [at t time f] schedules [f] to run when the clock reaches [time].
-    [time] must not be in the past.  Allocation-free when the free
-    list has a spare record. *)
+    [time] must not be in the past.  Allocation-free once the slab
+    has a free record (it grows to the peak number of live events). *)
 
 val after : t -> int -> (unit -> unit) -> event
 (** [after t d f] schedules [f] to run [d >= 0] nanoseconds from now. *)
 
 val cancel : event -> unit
-(** Cancel a pending event; cancelling an already-cancelled event
-    again (before it is discarded) is a no-op.  Must not be called on
-    a handle whose event has fired — the record may already back a
-    different event. *)
+(** Cancel a pending event: it leaves the queue at once and its record
+    is free for the next schedule.  Cancelling it again is a no-op
+    only until then.  Must not be called on a handle whose event has
+    fired or whose record may have been reused — it would cancel that
+    other event. *)
 
 val is_pending : event -> bool
 (** True if the event has neither fired nor been cancelled.  Only
     meaningful under the handle-lifetime contract. *)
 
 val time_of : event -> int
-(** The time the event is scheduled for.  Only meaningful while the
-    event is pending. *)
-
-val pending : t -> int
-(** Number of events still in the queue, {e including} cancelled ones
-    awaiting lazy discard — an overestimate of outstanding work.  Use
-    {!live_events} for queue-depth accounting. *)
+(** The time the event is scheduled for.  Raises [Invalid_argument]
+    if the event is not pending. *)
 
 val live_events : t -> int
 (** Exact number of scheduled events that have neither fired nor been
-    cancelled ([live_events t <= pending t] always). *)
+    cancelled: the size of the queue, which holds nothing else. *)
 
 val events_fired : t -> int
 (** Total number of callbacks the loop has run since {!create} —
-    cancelled-and-discarded entries are not counted.  The numerator of
+    cancelled events are not counted.  The numerator of
     the engine's events-per-second figure ([bench --perf]). *)
 
 val step : t -> bool

@@ -84,7 +84,7 @@ let pop t ~now =
   else begin
     let j = t.head in
     let x = t.vals.(j) in
-    Stat.Welford.add t.wait (float_of_int (now - t.enq.(j)));
+    Stat.Welford.add_int t.wait (now - t.enq.(j));
     t.head <- (if j + 1 = Array.length t.vals then 0 else j + 1);
     t.len <- t.len - 1;
     Some x
@@ -110,7 +110,7 @@ let pop_by t ~now ~key =
     done;
     let j = slot t !best in
     let x = t.vals.(j) in
-    Stat.Welford.add t.wait (float_of_int (now - t.enq.(j)));
+    Stat.Welford.add_int t.wait (now - t.enq.(j));
     for i = !best downto 1 do
       let dst = slot t i and src = slot t (i - 1) in
       t.vals.(dst) <- t.vals.(src);

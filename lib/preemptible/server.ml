@@ -536,6 +536,34 @@ let on_interrupt st i =
 (* Preemption mechanisms                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The no-UINTR timer thread ([Signal_utimer]): a poll loop that
+   signals every worker whose deadline has passed.  The scan is a
+   top-level function over preallocated per-worker continuations, so a
+   poll that fires nothing allocates nothing (DESIGN §9). *)
+type signal_timer = {
+  sig_sim : Engine.Sim.t;
+  deadlines : int array; (* per worker; max_int when disarmed *)
+  k_signal : (unit -> unit) array; (* per worker: deliver its signal *)
+  syscall_ns : int;
+  mutable sig_fired : int;
+  mutable sig_running : bool;
+}
+
+(* One poll: a pthread_kill (a syscall) per expired deadline, each sent
+   after the work needed to reach it.  Returns the poll's cost. *)
+let signal_expired s =
+  let now = Engine.Sim.now s.sig_sim in
+  let cost = ref (30 + (Array.length s.deadlines * 8)) in
+  for i = 0 to Array.length s.deadlines - 1 do
+    if s.deadlines.(i) <= now then begin
+      s.deadlines.(i) <- max_int;
+      s.sig_fired <- s.sig_fired + 1;
+      cost := !cost + s.syscall_ns;
+      ignore (Engine.Sim.after s.sig_sim !cost s.k_signal.(i) : Engine.Sim.event)
+    end
+  done;
+  !cost
+
 let make_mech st =
   let sim = st.sim and cfg = st.cfg in
   match cfg.mechanism with
@@ -660,39 +688,34 @@ let make_mech st =
     let signal =
       Ksim.Signal.create ?trace:st.trace sim cfg.costs ~rng:(Engine.Sim.fork_rng sim)
     in
-    let deadlines = Array.make cfg.n_workers max_int in
-    let fired = ref 0 in
-    let running = ref true in
+    let s =
+      {
+        sig_sim = sim;
+        deadlines = Array.make cfg.n_workers max_int;
+        k_signal =
+          Array.init cfg.n_workers (fun i ->
+              let handler () = on_interrupt st i in
+              fun () -> Ksim.Signal.deliver signal ~handler ());
+        syscall_ns = cfg.costs.Ksim.Costs.syscall_ns;
+        sig_fired = 0;
+        sig_running = true;
+      }
+    in
     let rec loop () =
-      if !running then begin
-        let t = Engine.Sim.now sim in
-        let cost = ref (30 + (cfg.n_workers * 8)) in
-        Array.iteri
-          (fun i d ->
-            if d <= t then begin
-              deadlines.(i) <- max_int;
-              incr fired;
-              (* pthread_kill from the timer thread: a syscall per fire *)
-              cost := !cost + cfg.costs.Ksim.Costs.syscall_ns;
-              ignore
-                (Engine.Sim.after sim !cost (fun () ->
-                     Ksim.Signal.deliver signal ~handler:(fun () -> on_interrupt st i) ()))
-            end)
-          deadlines;
-        ignore (Engine.Sim.after sim (max poll_ns !cost) loop)
-      end
+      if s.sig_running then
+        ignore (Engine.Sim.after sim (max poll_ns (signal_expired s)) loop : Engine.Sim.event)
     in
     loop ();
     {
       mech_arm =
-        (fun i ~quantum_ns -> deadlines.(i) <- Engine.Sim.now sim + quantum_ns);
-      mech_disarm = (fun i -> deadlines.(i) <- max_int);
+        (fun i ~quantum_ns -> s.deadlines.(i) <- Engine.Sim.now sim + quantum_ns);
+      mech_disarm = (fun i -> s.deadlines.(i) <- max_int);
       arm_cost_ns = 4;
       disarm_cost_ns = 4;
       entry_cost_ns = 0 (* dispatch cost is inside the signal path *);
       exit_cost_ns = cfg.costs.Ksim.Costs.syscall_ns (* sigreturn *);
-      mech_shutdown = (fun () -> running := false);
-      mech_fired = (fun () -> !fired);
+      mech_shutdown = (fun () -> s.sig_running <- false);
+      mech_fired = (fun () -> s.sig_fired);
     }
   | Kernel_timer ->
     let signal =
@@ -935,9 +958,7 @@ let window_loop st =
           ~value:(Rqueue.length st.long_q);
         Obs.Trace.counter trace Obs.Trace.Server ~name:"quantum" ~value:quantum_ns;
         Obs.Trace.counter trace Obs.Trace.Server ~name:"sim.live"
-          ~value:(Engine.Sim.live_events st.sim);
-        Obs.Trace.counter trace Obs.Trace.Server ~name:"sim.pending"
-          ~value:(Engine.Sim.pending st.sim)
+          ~value:(Engine.Sim.live_events st.sim)
       | None -> ());
       st.probes.on_window snapshot ~quantum_ns;
       tick ()
@@ -991,7 +1012,6 @@ let create ?(probes = no_probes) ?(warmup_ns = 0) cfg ~sim ~duration_ns =
   | _ -> ());
   let metrics = Obs.Metrics.create () in
   Obs.Metrics.gauge metrics "sim.live_events" (fun () -> Engine.Sim.live_events sim);
-  Obs.Metrics.gauge metrics "sim.pending" (fun () -> Engine.Sim.pending sim);
   (match trace with
   | Some tr ->
     Obs.Metrics.gauge metrics "trace.recorded" (fun () -> Obs.Trace.recorded tr);

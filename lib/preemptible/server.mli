@@ -177,7 +177,7 @@ type result = {
           {!Obs.Export.perfetto} / {!Obs.Breakdown.of_trace} *)
   metrics : Obs.Metrics.snapshot;
       (** registry snapshot taken after the drain: request totals,
-          interrupt counts, [sim.live_events] / [sim.pending] gauges,
+          interrupt counts, the [sim.live_events] gauge,
           the end-to-end latency histogram, the [guard.state] gauge
           (when guarded), and (when tracing) [trace.recorded] /
           [trace.dropped] *)

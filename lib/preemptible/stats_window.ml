@@ -46,12 +46,10 @@ let note_arrival t ~now =
 let note_completion t ~now ~latency_ns ~service_ns =
   ignore now;
   t.completions <- t.completions + 1;
-  let v = float_of_int latency_ns in
-  Stat.Quantile.P2.add t.median_est v;
-  Stat.Quantile.P2.add t.p99_est v;
-  let s = float_of_int service_ns in
-  Stat.Quantile.P2.add t.svc_median_est s;
-  Stat.Quantile.P2.add t.svc_p99_est s
+  Stat.Quantile.P2.add_int t.median_est latency_ns;
+  Stat.Quantile.P2.add_int t.p99_est latency_ns;
+  Stat.Quantile.P2.add_int t.svc_median_est service_ns;
+  Stat.Quantile.P2.add_int t.svc_p99_est service_ns
 
 let note_qlen t n = if n > t.max_qlen then t.max_qlen <- n
 

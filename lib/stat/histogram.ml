@@ -1,11 +1,14 @@
+(* The running float state is an all-float record, which OCaml stores
+   flat: [record] writes unboxed doubles, so it neither allocates nor
+   hits the write barrier. *)
+type seen = { mutable sum : float; mutable max_seen : float; mutable min_seen : float }
+
 type t = {
   buckets_per_decade : int;
   max_value : float;
   counts : int array;
   mutable total : int;
-  mutable sum : float;
-  mutable max_seen : float;
-  mutable min_seen : float;
+  seen : seen;
 }
 
 let n_buckets ~buckets_per_decade ~max_value =
@@ -20,9 +23,7 @@ let create ?(buckets_per_decade = 90) ?(max_value = 1e10) () =
     max_value;
     counts = Array.make (n_buckets ~buckets_per_decade ~max_value) 0;
     total = 0;
-    sum = 0.0;
-    max_seen = 0.0;
-    min_seen = infinity;
+    seen = { sum = 0.0; max_seen = 0.0; min_seen = infinity };
   }
 
 let bucket_of t v =
@@ -42,9 +43,10 @@ let record t v =
   let i = bucket_of t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. v;
-  if v > t.max_seen then t.max_seen <- v;
-  if v < t.min_seen then t.min_seen <- v
+  let s = t.seen in
+  s.sum <- s.sum +. v;
+  if v > s.max_seen then s.max_seen <- v;
+  if v < s.min_seen then s.min_seen <- v
 
 let count t = t.total
 
@@ -53,12 +55,12 @@ let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile: q out of [0,1]";
   let target = int_of_float (Float.ceil (q *. float_of_int t.total)) in
   let target = max target 1 in
-  let acc = ref 0 and result = ref t.max_seen and found = ref false in
+  let acc = ref 0 and result = ref t.seen.max_seen and found = ref false in
   (try
      for i = 0 to Array.length t.counts - 1 do
        acc := !acc + t.counts.(i);
        if !acc >= target then begin
-         result := Float.min (bucket_upper t i) t.max_seen;
+         result := Float.min (bucket_upper t i) t.seen.max_seen;
          found := true;
          raise Exit
        end
@@ -67,9 +69,9 @@ let quantile t q =
   ignore !found;
   !result
 
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
-let max_recorded t = t.max_seen
-let min_recorded t = if t.total = 0 then 0.0 else t.min_seen
+let mean t = if t.total = 0 then 0.0 else t.seen.sum /. float_of_int t.total
+let max_recorded t = t.seen.max_seen
+let min_recorded t = if t.total = 0 then 0.0 else t.seen.min_seen
 
 let merge_into ~dst ~src =
   if
@@ -78,13 +80,14 @@ let merge_into ~dst ~src =
   then invalid_arg "Histogram.merge_into: parameter mismatch";
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
-  if src.max_seen > dst.max_seen then dst.max_seen <- src.max_seen;
-  if src.min_seen < dst.min_seen then dst.min_seen <- src.min_seen
+  let d = dst.seen and s = src.seen in
+  d.sum <- d.sum +. s.sum;
+  if s.max_seen > d.max_seen then d.max_seen <- s.max_seen;
+  if s.min_seen < d.min_seen then d.min_seen <- s.min_seen
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.0;
-  t.max_seen <- 0.0;
-  t.min_seen <- infinity
+  t.seen.sum <- 0.0;
+  t.seen.max_seen <- 0.0;
+  t.seen.min_seen <- infinity

@@ -43,7 +43,10 @@ module P2 = struct
 
   let count t = t.n
 
-  let parabolic t i d =
+  (* [parabolic], [linear] and [add] are inlined, so their float
+     results and [add_int]'s sample stay unboxed: an update allocates
+     nothing. *)
+  let[@inline] parabolic t i d =
     let qi = t.heights.(i)
     and qim = t.heights.(i - 1)
     and qip = t.heights.(i + 1) in
@@ -56,21 +59,22 @@ module P2 = struct
        *. (((ni -. nim +. d) *. (qip -. qi) /. (nip -. ni))
           +. ((nip -. ni -. d) *. (qi -. qim) /. (ni -. nim)))
 
-  let linear t i d =
+  let[@inline] linear t i d =
     let j = i + int_of_float d in
     t.heights.(i)
     +. d
        *. (t.heights.(j) -. t.heights.(i))
        /. (t.positions.(j) -. t.positions.(i))
 
-  let add t x =
+  let seed_markers t =
+    Array.sort compare t.init;
+    Array.blit t.init 0 t.heights 0 5
+
+  let[@inline] add t x =
     if t.n < 5 then begin
       t.init.(t.n) <- x;
       t.n <- t.n + 1;
-      if t.n = 5 then begin
-        Array.sort compare t.init;
-        Array.blit t.init 0 t.heights 0 5
-      end
+      if t.n = 5 then seed_markers t
     end
     else begin
       t.n <- t.n + 1;
@@ -116,6 +120,8 @@ module P2 = struct
         end
       done
     end
+
+  let add_int t n = add t (float_of_int n)
 
   let get t =
     if t.n = 0 then invalid_arg "Quantile.P2.get: no data";

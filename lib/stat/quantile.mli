@@ -26,6 +26,11 @@ module P2 : sig
 
   val add : t -> float -> unit
 
+  val add_int : t -> int -> unit
+  (** [add_int t n] is [add t (float_of_int n)], with no float boxed
+      to cross the call: the allocation-free path for integer samples
+      such as nanosecond latencies. *)
+
   val count : t -> int
 
   val get : t -> float

@@ -5,6 +5,12 @@ type t
 val create : unit -> t
 
 val add : t -> float -> unit
+(** Allocation-free: the state is stored as unboxed floats. *)
+
+val add_int : t -> int -> unit
+(** [add_int t n] is [add t (float_of_int n)], with no float boxed to
+    cross the call: the allocation-free path for integer samples such
+    as nanosecond waits. *)
 
 val count : t -> int
 

@@ -29,7 +29,7 @@ let test_sim_event_introspection () =
   let ev = Sim.at sim 500 (fun () -> ()) in
   check_int "time_of" 500 (Sim.time_of ev);
   check_bool "pending" true (Sim.is_pending ev);
-  check_int "queue count" 1 (Sim.pending sim);
+  check_int "queue count" 1 (Sim.live_events sim);
   Sim.run sim;
   check_bool "fired" false (Sim.is_pending ev);
   check_int "clock" 500 (Sim.now sim)

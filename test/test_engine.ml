@@ -105,12 +105,13 @@ let test_rng_pareto_bounds () =
 (* ------------------------------------------------------------------ *)
 
 let test_heap_orders_by_time () =
-  let h = Event_heap.create ~dummy:"?" () in
-  Event_heap.add h ~time:30 ~seq:1 "c";
-  Event_heap.add h ~time:10 ~seq:2 "a";
-  Event_heap.add h ~time:20 ~seq:3 "b";
+  let h = Event_heap.create () in
+  let names = [| "a"; "b"; "c" |] in
+  Event_heap.add h ~time:30 ~seq:1 2;
+  Event_heap.add h ~time:10 ~seq:2 0;
+  Event_heap.add h ~time:20 ~seq:3 1;
   let pop () =
-    match Event_heap.pop h with Some (_, _, v) -> v | None -> "?"
+    match Event_heap.pop h with Some (_, _, id) -> names.(id) | None -> "?"
   in
   let first = pop () in
   let second = pop () in
@@ -118,7 +119,7 @@ let test_heap_orders_by_time () =
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
 
 let test_heap_fifo_at_equal_time () =
-  let h = Event_heap.create ~dummy:0 () in
+  let h = Event_heap.create () in
   for i = 1 to 50 do
     Event_heap.add h ~time:5 ~seq:i i
   done;
@@ -134,7 +135,7 @@ let test_heap_fifo_at_equal_time () =
   Alcotest.(check (list int)) "insertion order" (List.init 50 (fun i -> i + 1)) (List.rev !out)
 
 let test_heap_grow () =
-  let h = Event_heap.create ~dummy:0 () in
+  let h = Event_heap.create ~capacity:1 () in
   for i = 1000 downto 1 do
     Event_heap.add h ~time:i ~seq:(1001 - i) i
   done;
@@ -152,18 +153,21 @@ let test_heap_grow () =
   check_bool "empty" true (Event_heap.is_empty h)
 
 let test_heap_clear () =
-  let h = Event_heap.create ~dummy:() () in
-  Event_heap.add h ~time:1 ~seq:1 ();
+  let h = Event_heap.create () in
+  Event_heap.add h ~time:1 ~seq:1 7;
   Event_heap.clear h;
   check_bool "empty after clear" true (Event_heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Event_heap.pop h = None)
+  check_bool "id gone" false (Event_heap.mem h 7);
+  Alcotest.(check bool) "pop none" true (Event_heap.pop h = None);
+  Event_heap.add h ~time:2 ~seq:2 7;
+  check_int "id reusable" 2 (Event_heap.time_of h 7)
 
 let heap_property =
   QCheck.Test.make ~name:"heap pops sorted by (time,seq)" ~count:200
     QCheck.(list (pair (int_bound 1000) (int_bound 1000)))
     (fun entries ->
-      let h = Event_heap.create ~dummy:0 () in
-      List.iteri (fun i (time, _) -> Event_heap.add h ~time ~seq:i time) entries;
+      let h = Event_heap.create () in
+      List.iteri (fun i (time, _) -> Event_heap.add h ~time ~seq:i i) entries;
       let rec drain acc =
         match Event_heap.pop h with
         | Some (time, seq, _) -> drain ((time, seq) :: acc)
@@ -173,43 +177,82 @@ let heap_property =
       let sorted = List.sort compare out in
       out = sorted)
 
-(* Model test: interleaved add/pop against a sorted-list oracle.  The
-   oracle keeps (time, seq, value) sorted by (time, seq) with a stable
+(* Model test: interleaved add/pop/remove against a sorted-list oracle.
+   The oracle keeps (time, seq, id) sorted by (time, seq) with a stable
    insert, so it also pins FIFO tie-breaking on equal deadlines — the
-   generator draws times from a narrow range to force collisions. *)
+   generator draws times from a narrow range to force collisions.  Ids
+   are the smallest ones not in the heap, as the engine's slab reuses
+   them, and [Remove k] takes id [k] out wherever it sits (or checks
+   that an absent id is refused). *)
+type heap_op = Add of int | Pop | Remove of int
+
+let heap_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (4, Gen.map (fun t -> Add t) (Gen.int_bound 20));
+        (2, Gen.return Pop);
+        (3, Gen.map (fun k -> Remove k) (Gen.int_bound 24));
+      ]
+  in
+  let print = function
+    | Add t -> Printf.sprintf "add %d" t
+    | Pop -> "pop"
+    | Remove k -> Printf.sprintf "remove %d" k
+  in
+  make ~print:(Print.list print) ~shrink:Shrink.list (Gen.list op)
+
 let heap_model =
   QCheck.Test.make ~name:"heap matches sorted-list oracle (interleaved ops)"
-    ~count:300
-    QCheck.(list (option (int_bound 20)))
+    ~count:300 heap_ops
     (fun ops ->
-      let h = Event_heap.create ~dummy:(-1) () in
+      let h = Event_heap.create ~capacity:2 () in
       let oracle = ref [] in
       let seq = ref 0 in
-      let insert time v =
+      let in_oracle id = List.exists (fun (_, _, i) -> i = id) !oracle in
+      let rec free_id i = if in_oracle i then free_id (i + 1) else i in
+      let insert time id =
         (* Stable insert: equal keys keep arrival order. *)
         let rec go = function
-          | [] -> [ (time, v, v) ]
-          | (t', s', v') :: rest when (t', s') <= (time, v) ->
-            (t', s', v') :: go rest
-          | rest -> (time, v, v) :: rest
+          | [] -> [ (time, !seq, id) ]
+          | ((t', s', _) as e) :: rest when (t', s') <= (time, !seq) -> e :: go rest
+          | rest -> (time, !seq, id) :: rest
         in
         oracle := go !oracle
       in
+      let agrees () =
+        Event_heap.size h = List.length !oracle
+        && Event_heap.peek h = (match !oracle with [] -> None | e :: _ -> Some e)
+        && List.for_all (fun (t, _, id) -> Event_heap.time_of h id = t) !oracle
+      in
       List.for_all
         (fun op ->
-          match op with
-          | Some time ->
+          (match op with
+          | Add time ->
             incr seq;
-            Event_heap.add h ~time ~seq:!seq !seq;
-            insert time !seq;
-            Event_heap.size h = List.length !oracle
-          | None -> (
+            let id = free_id 0 in
+            Event_heap.add h ~time ~seq:!seq id;
+            insert time id;
+            true
+          | Pop -> (
             match (Event_heap.pop h, !oracle) with
             | None, [] -> true
-            | Some (t, s, v), (t', s', v') :: rest ->
+            | Some e, e' :: rest ->
               oracle := rest;
-              t = t' && s = s' && v = v'
-            | Some _, [] | None, _ :: _ -> false))
+              e = e'
+            | Some _, [] | None, _ :: _ -> false)
+          | Remove id when in_oracle id ->
+            Event_heap.remove h id;
+            oracle := List.filter (fun (_, _, i) -> i <> id) !oracle;
+            not (Event_heap.mem h id)
+          | Remove id -> (
+            (not (Event_heap.mem h id))
+            &&
+            match Event_heap.remove h id with
+            | () -> false
+            | exception Invalid_argument _ -> true))
+          && agrees ())
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -383,6 +426,172 @@ let test_sim_deterministic_replay () =
   in
   Alcotest.(check (list int)) "replay equal" (run_once ()) (run_once ())
 
+(* Model test: random interleavings of at/after (narrow delays, so
+   many events share a timestamp), cancel, step and run_until against a
+   reference queue with lazy deletion — a list ordered by (time, seq)
+   whose cancelled entries stay until they reach the head, which is
+   what the engine did before it removed cancelled events eagerly.  The
+   firing sequence, [now], [live_events], [events_fired] and every
+   pending handle's [time_of] must agree after each op.  Some events
+   schedule a child when they fire, so a freed record is reused from
+   inside a callback.  Cancels follow the handle contract: they pick a
+   pending event, and [Cancel_twice] repeats the cancel with nothing
+   scheduled between; [Cancel_sched_step] cancels, schedules, then
+   steps. *)
+type sim_op =
+  | At of int (* delay from now *)
+  | After of int
+  | Nested of int * int (* delay, then the child's delay from the firing *)
+  | Cancel of int (* index into the pending events *)
+  | Cancel_twice of int
+  | Cancel_sched_step of int * int
+  | Cancel_null
+  | Step
+  | Run_until of int
+
+let sim_ops =
+  let open QCheck in
+  let d = Gen.int_bound 3 in
+  let k = Gen.int_bound 50 in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map (fun d -> At d) d);
+        (3, Gen.map (fun d -> After d) d);
+        (2, Gen.map2 (fun d c -> Nested (d, c)) d d);
+        (2, Gen.map (fun k -> Cancel k) k);
+        (1, Gen.map (fun k -> Cancel_twice k) k);
+        (1, Gen.map2 (fun k d -> Cancel_sched_step (k, d)) k d);
+        (1, Gen.return Cancel_null);
+        (4, Gen.return Step);
+        (1, Gen.map (fun d -> Run_until d) Gen.(int_bound 6));
+      ]
+  in
+  let print = function
+    | At d -> Printf.sprintf "at +%d" d
+    | After d -> Printf.sprintf "after %d" d
+    | Nested (d, c) -> Printf.sprintf "nested %d/%d" d c
+    | Cancel k -> Printf.sprintf "cancel #%d" k
+    | Cancel_twice k -> Printf.sprintf "cancel twice #%d" k
+    | Cancel_sched_step (k, d) -> Printf.sprintf "cancel #%d; after %d; step" k d
+    | Cancel_null -> "cancel null"
+    | Step -> "step"
+    | Run_until d -> Printf.sprintf "run_until +%d" d
+  in
+  make ~print:(Print.list print) ~shrink:Shrink.list (Gen.list_size (Gen.int_range 0 80) op)
+
+type model_entry = {
+  m_time : int;
+  m_seq : int;
+  tag : int;
+  handle : Sim.event;
+  mutable alive : bool;
+}
+
+let sim_model =
+  QCheck.Test.make ~name:"sim matches lazy-deletion queue model" ~count:500 sim_ops
+    (fun ops ->
+      let sim = Sim.create () in
+      let log = ref [] and model_log = ref [] in
+      let queue = ref [] and clock = ref 0 and seq = ref 0 and fired = ref 0 in
+      let tags = ref 0 in
+      (* Schedule on both sides at once.  The engine's callback logs its
+         tag and schedules the child through this same function, so the
+         model queue gets the child the moment the engine does. *)
+      let rec schedule ~time ~use_after child =
+        incr tags;
+        incr seq;
+        let tag = !tags in
+        let cb () =
+          log := tag :: !log;
+          match child with
+          | Some c -> ignore (schedule ~time:(Sim.now sim + c) ~use_after:true None : model_entry)
+          | None -> ()
+        in
+        let handle =
+          if use_after then Sim.after sim (time - Sim.now sim) cb else Sim.at sim time cb
+        in
+        let e = { m_time = time; m_seq = !seq; tag; handle; alive = true } in
+        let rec insert = function
+          | e' :: rest when (e'.m_time, e'.m_seq) <= (time, !seq) -> e' :: insert rest
+          | rest -> e :: rest
+        in
+        queue := insert !queue;
+        e
+      in
+      let rec fire_next ~limit =
+        match !queue with
+        | e :: rest when e.m_time <= limit ->
+          queue := rest;
+          if e.alive then begin
+            e.alive <- false;
+            clock := e.m_time;
+            incr fired;
+            model_log := e.tag :: !model_log;
+            true
+          end
+          else fire_next ~limit
+        | _ -> false
+      in
+      let step () =
+        let got = Sim.step sim in
+        got = fire_next ~limit:max_int
+      in
+      let pending () = List.filter (fun e -> e.alive) !queue in
+      let nth_pending k =
+        match pending () with [] -> None | l -> Some (List.nth l (k mod List.length l))
+      in
+      let cancel e =
+        Sim.cancel e.handle;
+        e.alive <- false
+      in
+      let agrees () =
+        let live = pending () in
+        Sim.now sim = !clock
+        && Sim.live_events sim = List.length live
+        && Sim.events_fired sim = !fired
+        && !log = !model_log
+        && List.for_all (fun e -> Sim.is_pending e.handle && Sim.time_of e.handle = e.m_time) live
+        && not (Sim.is_pending Sim.null)
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | At d -> ignore (schedule ~time:(!clock + d) ~use_after:false None); true
+            | After d -> ignore (schedule ~time:(!clock + d) ~use_after:true None); true
+            | Nested (d, c) -> ignore (schedule ~time:(!clock + d) ~use_after:false (Some c)); true
+            | Cancel k -> (
+              match nth_pending k with
+              | Some e ->
+                cancel e;
+                not (Sim.is_pending e.handle)
+              | None -> true)
+            | Cancel_twice k -> (
+              match nth_pending k with
+              | Some e ->
+                cancel e;
+                Sim.cancel e.handle;
+                true
+              | None -> true)
+            | Cancel_sched_step (k, d) ->
+              (match nth_pending k with Some e -> cancel e | None -> ());
+              ignore (schedule ~time:(!clock + d) ~use_after:true None);
+              step ()
+            | Cancel_null ->
+              Sim.cancel Sim.null;
+              true
+            | Step -> step ()
+            | Run_until d ->
+              let limit = !clock + d in
+              Sim.run_until sim limit;
+              while fire_next ~limit do () done;
+              clock := max !clock limit;
+              true
+          in
+          ok && agrees ())
+        ops)
+
 let suites =
   [
     ( "engine.units",
@@ -429,5 +638,6 @@ let suites =
         Alcotest.test_case "events_fired" `Quick test_sim_events_fired_counts_only_live;
         Alcotest.test_case "fork_rng" `Quick test_sim_fork_rng_independent;
         Alcotest.test_case "deterministic replay" `Quick test_sim_deterministic_replay;
+        QCheck_alcotest.to_alcotest sim_model;
       ] );
   ]

@@ -273,12 +273,10 @@ let test_sim_live_events () =
   check_int "three scheduled" 3 (Engine.Sim.live_events sim);
   Engine.Sim.cancel e1;
   check_int "cancel drops live count" 2 (Engine.Sim.live_events sim);
-  check_int "pending still counts the corpse" 3 (Engine.Sim.pending sim);
   Engine.Sim.cancel e1;
   check_int "double cancel is idempotent" 2 (Engine.Sim.live_events sim);
   Engine.Sim.run sim;
-  check_int "drained" 0 (Engine.Sim.live_events sim);
-  check_int "heap empty" 0 (Engine.Sim.pending sim)
+  check_int "drained" 0 (Engine.Sim.live_events sim)
 
 (* ------------------------------------------------------------------ *)
 (* Fault ledger mirroring                                              *)
